@@ -146,6 +146,24 @@ class CheckedRational {
   }
 };
 
+/// Narrows a Rational to the fast path; throws OverflowError (the
+/// with_fallback restart trigger) when the numerator or denominator does
+/// not fit int64.
+inline CheckedRational to_checked(const Rational& q) {
+  if (q.is_integer()) return CheckedRational(CheckedInt(q.num().to_int64()));
+  return CheckedRational(CheckedInt(q.num().to_int64()),
+                         CheckedInt(q.den().to_int64()));
+}
+
+/// Widens a fast-path rational back to Rational (always exact).
+inline Rational to_rational(const CheckedRational& q) {
+  if (q.is_integer()) return Rational(BigInt(q.num().value()));
+  return Rational(BigInt(q.num().value()), BigInt(q.den().value()));
+}
+
+/// Identity overload so templated kernels can publish either substrate.
+inline const Rational& to_rational(const Rational& q) { return q; }
+
 /// Maps an exact integer scalar to its rational companion, so templated
 /// rational kernels (LLL, pseudo-inverse bounds) pick the right field.
 template <typename Z>

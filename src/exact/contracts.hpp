@@ -4,7 +4,7 @@
 // Compiled in only under -DSYSMAP_CONTRACTS=ON (CMake) which defines
 // SYSMAP_CONTRACTS_ENABLED; the default build keeps the hot path free of
 // any checking code.  A violated contract is not a user error, it is a bug
-// in this library: the failure throws sysmap::support::ContractViolation
+// in this library: the failure throws sysmap::exact::ContractViolation
 // carrying the condition text and location so tests can assert on it and
 // services can log it before dying.
 //
@@ -16,6 +16,8 @@
 //   mapping::unique_conflict_vector  T·gamma = 0, gcd(gamma) = 1
 //   mapping::decide_conflict_free_exact  returned witness is a genuine
 //                                  in-box integral conflict
+//   opt::solve_lp / solve_ilp / enumerate_vertices  CheckedRational answer
+//                                  == Rational re-run, field for field
 //   search::FixedSpaceContext::screen  raw int64 verdict == exact verdict
 //   search::procedure_5_1 / parallel   found Pi is conflict-free at the
 //                                  reported cost
@@ -25,7 +27,7 @@
 #include <stdexcept>
 #include <string>
 
-namespace sysmap::support {
+namespace sysmap::exact {
 
 class ContractViolation : public std::logic_error {
  public:
@@ -43,7 +45,7 @@ class ContractViolation : public std::logic_error {
   }
 };
 
-}  // namespace sysmap::support
+}  // namespace sysmap::exact
 
 #ifdef SYSMAP_CONTRACTS_ENABLED
 
@@ -55,7 +57,7 @@ class ContractViolation : public std::logic_error {
     if (!(cond)) {                                                         \
       std::ostringstream sysmap_contract_os_;                              \
       sysmap_contract_os_ << "" __VA_ARGS__;                               \
-      throw ::sysmap::support::ContractViolation(                          \
+      throw ::sysmap::exact::ContractViolation(                          \
           #cond, __FILE__, __LINE__, sysmap_contract_os_.str());           \
     }                                                                      \
   } while (false)

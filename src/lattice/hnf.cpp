@@ -4,10 +4,10 @@
 #include <utility>
 
 #include "exact/bigint.hpp"
+#include "exact/contracts.hpp"
 #include "exact/fastpath.hpp"
 #include "lattice/hnf_impl.hpp"
 #include "linalg/ops.hpp"
-#include "support/contracts.hpp"
 
 namespace sysmap::lattice {
 

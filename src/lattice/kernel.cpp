@@ -5,9 +5,9 @@
 #include <utility>
 
 #include "exact/checked.hpp"
+#include "exact/contracts.hpp"
 #include "lattice/hnf.hpp"
 #include "linalg/ops.hpp"
-#include "support/contracts.hpp"
 
 namespace sysmap::lattice {
 

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "exact/bigint.hpp"
-#include "support/contracts.hpp"
+#include "exact/contracts.hpp"
 
 namespace sysmap::lattice {
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "exact/bigint.hpp"
+#include "exact/contracts.hpp"
 #include "exact/fastpath.hpp"
 #include "lattice/hnf.hpp"
 #include "lattice/kernel.hpp"
@@ -13,7 +14,6 @@
 #include "linalg/ops.hpp"
 #include "mapping/theorems.hpp"
 #include "mapping/verdicts_impl.hpp"
-#include "support/contracts.hpp"
 
 namespace sysmap::mapping {
 

@@ -8,10 +8,10 @@
 
 #include <cstddef>
 
+#include "exact/contracts.hpp"
 #include "exact/fastpath.hpp"
 #include "mapping/conflict.hpp"
 #include "mapping/verdicts_impl.hpp"
-#include "support/contracts.hpp"
 
 namespace sysmap::mapping {
 

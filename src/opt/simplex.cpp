@@ -1,11 +1,18 @@
 #include "opt/simplex.hpp"
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
+#include "exact/contracts.hpp"
+#include "exact/fastpath.hpp"
+#include "obs/obs.hpp"
+#include "opt/simplex_impl.hpp"
+
 namespace sysmap::opt {
 
+using exact::CheckedRational;
 using exact::Rational;
 
 void LinearProgram::add(VecQ coeffs, Relation rel, Rational rhs) {
@@ -21,208 +28,32 @@ void LinearProgram::add_bound(std::size_t var, Relation rel, Rational value) {
   add(std::move(coeffs), rel, std::move(value));
 }
 
-namespace {
-
-// Dense simplex tableau in canonical form.
-//   rows_ x (cols_ + 1); last column is the rhs.
-//   cost row holds reduced costs and, in the rhs cell, -objective.
-class Tableau {
- public:
-  Tableau(std::size_t rows, std::size_t cols)
-      : rows_(rows),
-        cols_(cols),
-        a_(rows, VecQ(cols + 1, Rational(0))),
-        cost_(cols + 1, Rational(0)),
-        basis_(rows, 0) {}
-
-  Rational& at(std::size_t i, std::size_t j) { return a_[i][j]; }
-  Rational& rhs(std::size_t i) { return a_[i][cols_]; }
-  Rational& cost(std::size_t j) { return cost_[j]; }
-  Rational& neg_objective() { return cost_[cols_]; }
-  std::size_t basis(std::size_t i) const { return basis_[i]; }
-  void set_basis(std::size_t i, std::size_t j) { basis_[i] = j; }
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-
-  void pivot(std::size_t pr, std::size_t pc) {
-    Rational p = a_[pr][pc];
-    for (std::size_t j = 0; j <= cols_; ++j) a_[pr][j] /= p;
-    for (std::size_t i = 0; i < rows_; ++i) {
-      if (i == pr || a_[i][pc].is_zero()) continue;
-      Rational f = a_[i][pc];
-      for (std::size_t j = 0; j <= cols_; ++j) {
-        a_[i][j] -= f * a_[pr][j];
-      }
-    }
-    if (!cost_[pc].is_zero()) {
-      Rational f = cost_[pc];
-      for (std::size_t j = 0; j <= cols_; ++j) {
-        cost_[j] -= f * a_[pr][j];
-      }
-    }
-    basis_[pr] = pc;
-  }
-
-  // Bland's rule iteration.  Returns kOptimal or kUnbounded.
-  LpStatus iterate(const std::vector<bool>& allowed) {
-    for (;;) {
-      // Entering: smallest-index column with negative reduced cost.
-      std::size_t enter = cols_;
-      for (std::size_t j = 0; j < cols_; ++j) {
-        if (allowed[j] && cost_[j].signum() < 0) {
-          enter = j;
-          break;
-        }
-      }
-      if (enter == cols_) return LpStatus::kOptimal;
-      // Leaving: min ratio rhs_i / a_ie over a_ie > 0; ties by smallest
-      // basis index (Bland).
-      std::size_t leave = rows_;
-      Rational best;
-      for (std::size_t i = 0; i < rows_; ++i) {
-        if (a_[i][enter].signum() <= 0) continue;
-        Rational ratio = a_[i][cols_] / a_[i][enter];
-        if (leave == rows_ || ratio < best ||
-            (ratio == best && basis_[i] < basis_[leave])) {
-          leave = i;
-          best = ratio;
-        }
-      }
-      if (leave == rows_) return LpStatus::kUnbounded;
-      pivot(leave, enter);
-    }
-  }
-
- private:
-  std::size_t rows_;
-  std::size_t cols_;
-  std::vector<VecQ> a_;
-  VecQ cost_;
-  std::vector<std::size_t> basis_;
-};
-
-}  // namespace
-
 LpSolution solve_lp(const LinearProgram& lp) {
-  const std::size_t n = lp.num_vars;
-  const std::size_t m = lp.constraints.size();
-  if (lp.objective.size() != n) {
-    throw std::invalid_argument("solve_lp: objective width mismatch");
-  }
-
-  // Standard-form layout: columns [x+ (n) | x- (n) | slack (s) | artificial
-  // (m)].  Every row gets an artificial for a trivially feasible start.
-  std::size_t num_slack = 0;
-  for (const auto& c : lp.constraints) {
-    if (c.rel != Relation::kEq) ++num_slack;
-  }
-  const std::size_t cols = 2 * n + num_slack + m;
-  Tableau t(m, cols);
-
-  std::size_t slack_at = 2 * n;
-  for (std::size_t i = 0; i < m; ++i) {
-    const Constraint& c = lp.constraints[i];
-    if (c.coeffs.size() != n) {
-      throw std::invalid_argument("solve_lp: constraint width mismatch");
-    }
-    // Orient the row so rhs >= 0.
-    bool flip = c.rhs.signum() < 0;
-    Rational sign = flip ? Rational(-1) : Rational(1);
-    for (std::size_t j = 0; j < n; ++j) {
-      t.at(i, j) = sign * c.coeffs[j];
-      t.at(i, n + j) = -(sign * c.coeffs[j]);
-    }
-    t.rhs(i) = sign * c.rhs;
-    Relation rel = c.rel;
-    if (flip) {
-      if (rel == Relation::kLe) {
-        rel = Relation::kGe;
-      } else if (rel == Relation::kGe) {
-        rel = Relation::kLe;
-      }
-    }
-    if (rel == Relation::kLe) {
-      t.at(i, slack_at++) = Rational(1);
-    } else if (rel == Relation::kGe) {
-      t.at(i, slack_at++) = Rational(-1);
-    }
-    // Artificial variable, basic in this row.
-    std::size_t art = 2 * n + num_slack + i;
-    t.at(i, art) = Rational(1);
-    t.set_basis(i, art);
-  }
-
-  std::vector<bool> allowed(cols, true);
-
-  // Phase 1: minimize the sum of artificials.  Build the phase-1 reduced
-  // cost row: cost_j = -(sum over rows of a_ij) for non-artificial j.
-  for (std::size_t j = 0; j < cols; ++j) t.cost(j) = Rational(0);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j <= cols; ++j) {
-      // artificial columns have +1 only in their own row; costing them 1
-      // and canonicalizing subtracts each row once.
-      if (j < cols) {
-        if (j >= 2 * n + num_slack) continue;  // keep artificials at 0
-        t.cost(j) -= t.at(i, j);
-      }
-    }
-    t.neg_objective() -= t.rhs(i);
-  }
-  LpStatus phase1 = t.iterate(allowed);
-  if (phase1 == LpStatus::kUnbounded) {
-    // Phase-1 objective is bounded below by 0; cannot happen.
-    throw std::logic_error("solve_lp: phase 1 unbounded");
-  }
-  // Feasible iff the phase-1 optimum is 0 (neg_objective holds -optimum).
-  if (!t.neg_objective().is_zero()) {
-    return {LpStatus::kInfeasible, {}, Rational(0)};
-  }
-  // Drive remaining artificials out of the basis; drop redundant rows by
-  // leaving them basic at zero with their column disabled.
-  for (std::size_t i = 0; i < m; ++i) {
-    if (t.basis(i) < 2 * n + num_slack) continue;
-    for (std::size_t j = 0; j < 2 * n + num_slack; ++j) {
-      if (!t.at(i, j).is_zero()) {
-        t.pivot(i, j);
-        break;
-      }
-    }
-  }
-  for (std::size_t j = 2 * n + num_slack; j < cols; ++j) allowed[j] = false;
-
-  // Phase 2: original objective c (x+ - x-), canonicalized against the
-  // current basis.
-  for (std::size_t j = 0; j <= cols; ++j) t.cost(j) = Rational(0);
-  for (std::size_t j = 0; j < n; ++j) {
-    t.cost(j) = lp.objective[j];
-    t.cost(n + j) = -lp.objective[j];
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    std::size_t b = t.basis(i);
-    if (t.cost(b).is_zero()) continue;
-    Rational f = t.cost(b);
-    for (std::size_t j = 0; j <= t.cols(); ++j) {
-      t.cost(j) -= f * t.at(i, j);
-    }
-  }
-  LpStatus phase2 = t.iterate(allowed);
-  if (phase2 == LpStatus::kUnbounded) {
-    return {LpStatus::kUnbounded, {}, Rational(0)};
-  }
-
-  // Extract x = x+ - x-.
-  VecQ x(n, Rational(0));
-  for (std::size_t i = 0; i < m; ++i) {
-    std::size_t b = t.basis(i);
-    if (b < n) {
-      x[b] += t.rhs(i);
-    } else if (b < 2 * n) {
-      x[b - n] -= t.rhs(i);
-    }
-  }
-  Rational obj(0);
-  for (std::size_t j = 0; j < n; ++j) obj += lp.objective[j] * x[j];
-  return {LpStatus::kOptimal, std::move(x), std::move(obj)};
+  std::uint64_t pivots = 0;
+  LpSolution out = exact::with_fallback(
+      [&] {
+        const auto fast = detail::solve_lp_t(detail::to_checked(lp));
+        pivots = fast.pivots;
+        LpSolution published = detail::to_solution(fast);
+#if SYSMAP_CONTRACTS_ACTIVE
+        // Same pivot sequence on both substrates: the Rational re-solve
+        // must agree field for field, pivot count included.
+        const auto exact_run = detail::solve_lp_t(lp);
+        SYSMAP_CONTRACT(published == detail::to_solution(exact_run) &&
+                            fast.pivots == exact_run.pivots,
+                        "CheckedRational simplex diverges from the Rational "
+                        "re-solve");
+#endif
+        return published;
+      },
+      [&] {
+        const auto exact_run = detail::solve_lp_t(lp);
+        pivots = exact_run.pivots;
+        return detail::to_solution(exact_run);
+      });
+  SYSMAP_COUNT("opt.lp.solves", 1);
+  SYSMAP_COUNT("opt.lp.pivots", pivots);
+  return out;
 }
 
 }  // namespace sysmap::opt

@@ -3,10 +3,16 @@
 // Section 5 of the paper converts the time-optimal conflict-free mapping
 // problem into (integer) linear programs whose "extreme points ... are all
 // integral"; the appendix solves them by inspecting vertices.  An exact
-// simplex over Rational reproduces that reasoning with no tolerance
-// artifacts: Bland's rule guarantees termination, and every reported vertex
-// is an exact rational point.  Problem sizes here are tiny (n <= 6 original
-// variables, tens of constraints), so a dense tableau is the right tool.
+// simplex reproduces that reasoning with no tolerance artifacts: Bland's
+// rule guarantees termination, and every reported vertex is an exact
+// rational point.  Problem sizes here are tiny (n <= 6 original variables,
+// tens of constraints), so a dense tableau is the right tool.
+//
+// The interface is Rational in and out.  Internally the simplex runs on
+// CheckedRational (int64 numerator and denominator) and restarts on
+// Rational when an operation would overflow (exact::with_fallback, see
+// opt/simplex_impl.hpp).  Both substrates are exact and follow the same
+// pivot sequence, so the answer does not depend on which one completes.
 #pragma once
 
 #include <string>
@@ -45,6 +51,8 @@ struct LpSolution {
   LpStatus status = LpStatus::kInfeasible;
   VecQ x;                    ///< optimal point (original variables)
   exact::Rational objective; ///< objective . x at the optimum
+
+  friend bool operator==(const LpSolution&, const LpSolution&) = default;
 };
 
 /// Exact two-phase simplex.  Deterministic (Bland's rule).

@@ -1,9 +1,15 @@
 #include "opt/vertex_enum.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
-#include "linalg/ops.hpp"
+#include "exact/contracts.hpp"
+#include "exact/fastpath.hpp"
+#include "obs/obs.hpp"
+#include "opt/simplex_impl.hpp"
 
 namespace sysmap::opt {
 
@@ -11,10 +17,13 @@ using exact::Rational;
 
 namespace {
 
-bool satisfies(const LinearProgram& lp, const VecQ& x) {
+template <typename P, typename Q>
+bool satisfies(const P& lp, const std::vector<Q>& x) {
   for (const auto& c : lp.constraints) {
-    Rational lhs(0);
-    for (std::size_t j = 0; j < lp.num_vars; ++j) lhs += c.coeffs[j] * x[j];
+    Q lhs(0);
+    for (std::size_t j = 0; j < lp.num_vars; ++j) {
+      if (!c.coeffs[j].is_zero() && !x[j].is_zero()) lhs += c.coeffs[j] * x[j];
+    }
     switch (c.rel) {
       case Relation::kLe:
         if (lhs > c.rhs) return false;
@@ -30,13 +39,50 @@ bool satisfies(const LinearProgram& lp, const VecQ& x) {
   return true;
 }
 
-}  // namespace
+// Solves the n x n system held in the augmented rows [A | b] of `m` by one
+// Gauss-Jordan pass (first nonzero pivot per column); nullopt when A is
+// singular.  The solution of a nonsingular system is unique, so this is
+// the same point rank(A) == n followed by inverse(A) * b would give.
+template <typename Q>
+std::optional<std::vector<Q>> solve_square(std::vector<std::vector<Q>>& m) {
+  const std::size_t n = m.size();
+  for (std::size_t c = 0; c < n; ++c) {
+    std::size_t pivot = c;
+    while (pivot < n && m[pivot][c].is_zero()) ++pivot;
+    if (pivot == n) return std::nullopt;
+    if (pivot != c) std::swap(m[pivot], m[c]);
+    std::vector<Q>& prow = m[c];
+    const Q p = prow[c];
+    for (std::size_t j = c; j <= n; ++j) {
+      if (!prow[j].is_zero()) prow[j] /= p;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i == c || m[i][c].is_zero()) continue;
+      const Q f = m[i][c];
+      for (std::size_t j = c; j <= n; ++j) {
+        if (!prow[j].is_zero()) m[i][j] -= f * prow[j];
+      }
+    }
+  }
+  std::vector<Q> x;
+  x.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) x.push_back(std::move(m[i][n]));
+  return x;
+}
 
-std::vector<VecQ> enumerate_vertices(const LinearProgram& lp) {
+template <typename Q>
+struct VerticesOf {
+  std::vector<std::vector<Q>> vertices;
+  std::uint64_t active_sets = 0;  // n-subsets decided
+};
+
+template <typename P>
+VerticesOf<detail::ScalarOf<P>> enumerate_vertices_t(const P& lp) {
+  using Q = detail::ScalarOf<P>;
   const std::size_t n = lp.num_vars;
   const std::size_t m = lp.constraints.size();
-  std::vector<VecQ> vertices;
-  if (m < n) return vertices;
+  VerticesOf<Q> out;
+  if (m < n) return out;
 
   // Equality rows are always part of the active set.
   std::vector<std::size_t> eq_rows;
@@ -48,34 +94,30 @@ std::vector<VecQ> enumerate_vertices(const LinearProgram& lp) {
       ineq_rows.push_back(i);
     }
   }
-  if (eq_rows.size() > n) return vertices;
+  if (eq_rows.size() > n) return out;
   const std::size_t need = n - eq_rows.size();
-  if (ineq_rows.size() < need) return vertices;
+  if (ineq_rows.size() < need) return out;
 
   std::vector<std::size_t> idx(need);
   for (std::size_t i = 0; i < need; ++i) idx[i] = i;
+  std::vector<std::vector<Q>> system(n, std::vector<Q>(n + 1));
   for (;;) {
-    // Build and solve the active equality system.
-    MatQ a(n, n);
-    VecQ b(n);
+    // Build and solve the active equality system [A | b].
     std::size_t row = 0;
-    for (std::size_t e : eq_rows) {
-      for (std::size_t j = 0; j < n; ++j) a(row, j) = lp.constraints[e].coeffs[j];
-      b[row] = lp.constraints[e].rhs;
+    auto load = [&](std::size_t e) {
+      const auto& c = lp.constraints[e];
+      for (std::size_t j = 0; j < n; ++j) system[row][j] = c.coeffs[j];
+      system[row][n] = c.rhs;
       ++row;
-    }
-    for (std::size_t t = 0; t < need; ++t) {
-      std::size_t e = ineq_rows[idx[t]];
-      for (std::size_t j = 0; j < n; ++j) a(row, j) = lp.constraints[e].coeffs[j];
-      b[row] = lp.constraints[e].rhs;
-      ++row;
-    }
-    if (linalg::rank(a) == n) {
-      VecQ x = linalg::solve(a, b);
-      if (satisfies(lp, x) &&
-          std::find(vertices.begin(), vertices.end(), x) == vertices.end()) {
-        vertices.push_back(std::move(x));
-      }
+    };
+    for (std::size_t e : eq_rows) load(e);
+    for (std::size_t t = 0; t < need; ++t) load(ineq_rows[idx[t]]);
+    ++out.active_sets;
+    std::optional<std::vector<Q>> x = solve_square(system);
+    if (x && satisfies(lp, *x) &&
+        std::find(out.vertices.begin(), out.vertices.end(), *x) ==
+            out.vertices.end()) {
+      out.vertices.push_back(std::move(*x));
     }
     // Next combination of inequality rows.
     if (need == 0) break;
@@ -91,7 +133,42 @@ std::vector<VecQ> enumerate_vertices(const LinearProgram& lp) {
     }
     if (done) break;
   }
-  return vertices;
+  return out;
+}
+
+template <typename Q>
+std::vector<VecQ> publish(const VerticesOf<Q>& r) {
+  std::vector<VecQ> out;
+  out.reserve(r.vertices.size());
+  for (const auto& v : r.vertices) out.push_back(detail::to_vecq(v));
+  return out;
+}
+
+}  // namespace
+
+std::vector<VecQ> enumerate_vertices(const LinearProgram& lp) {
+  std::uint64_t active_sets = 0;
+  std::vector<VecQ> out = exact::with_fallback(
+      [&] {
+        const auto fast = enumerate_vertices_t(detail::to_checked(lp));
+        active_sets = fast.active_sets;
+        std::vector<VecQ> published = publish(fast);
+#if SYSMAP_CONTRACTS_ACTIVE
+        // Same subsets in the same order on both substrates: the Rational
+        // re-run must list the same vertices in the same order.
+        SYSMAP_CONTRACT(published == publish(enumerate_vertices_t(lp)),
+                        "CheckedRational vertex enumeration diverges from "
+                        "the Rational re-run");
+#endif
+        return published;
+      },
+      [&] {
+        const auto exact_run = enumerate_vertices_t(lp);
+        active_sets = exact_run.active_sets;
+        return publish(exact_run);
+      });
+  SYSMAP_COUNT("opt.vertex_enum.active_sets", active_sets);
+  return out;
 }
 
 std::optional<VecQ> best_vertex(const LinearProgram& lp,

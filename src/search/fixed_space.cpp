@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "exact/contracts.hpp"
 #include "mapping/enum_oracle.hpp"
 #include "exact/bigint.hpp"
 #include "exact/checked_int.hpp"
@@ -21,7 +22,6 @@
 #include "mapping/mapping_matrix.hpp"
 #include "mapping/verdicts_impl.hpp"
 #include "search/verdict_cache.hpp"
-#include "support/contracts.hpp"
 
 namespace sysmap::search {
 

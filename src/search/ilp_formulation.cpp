@@ -1,6 +1,9 @@
 #include "search/ilp_formulation.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -96,6 +99,84 @@ void apply_orthant(opt::LinearProgram& lp, const model::IndexSet& set,
 
 }  // namespace
 
+void for_each_branch(
+    const model::UniformDependenceAlgorithm& algo, const MatZ& f_coeffs,
+    SignMode sign_mode,
+    const std::function<void(const opt::LinearProgram&)>& visit) {
+  const model::IndexSet& set = algo.index_set();
+  const std::size_t n = set.dimension();
+  for (std::size_t row = 0; row < n; ++row) {
+    for (int side : {+1, -1}) {
+      if (sign_mode == SignMode::kPositive) {
+        visit(build_branch(algo, f_coeffs, row, side));
+        continue;
+      }
+      // Enumerate all 2^n sign orthants.
+      std::vector<int> sigma(n, -1);
+      for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << n); ++mask) {
+        for (std::size_t i = 0; i < n; ++i) {
+          sigma[i] = (mask >> i) & 1 ? 1 : -1;
+        }
+        opt::LinearProgram lp = build_branch(algo, f_coeffs, row, side);
+        // Drop the pi_i >= 1 bounds added by build_branch: orthant mode
+        // re-derives signs.  They are the first n constraints.
+        lp.constraints.erase(lp.constraints.begin(),
+                             lp.constraints.begin() +
+                                 static_cast<std::ptrdiff_t>(n));
+        apply_orthant(lp, set, sigma);
+        visit(lp);
+      }
+    }
+  }
+}
+
+std::optional<Int> branch_lower_bound(const opt::IlpSolution& sol) {
+  BigInt bound;
+  switch (sol.status) {
+    case opt::IlpStatus::kOptimal:
+      bound = sol.objective.to_integer();
+      break;
+    case opt::IlpStatus::kNodeLimit:
+      // The unexplored subtrees are bounded by the root relaxation; f has
+      // integer coefficients, so its ceiling is still a bound.  Without a
+      // root solve (node_limit 0) only f >= 0 is known.
+      bound = sol.root_objective ? sol.root_objective->ceil() : BigInt(0);
+      break;
+    case opt::IlpStatus::kInfeasible:
+    case opt::IlpStatus::kUnbounded:  // cannot occur: f >= 0 on every branch
+      return std::nullopt;
+  }
+  // f >= 0, so a bound beyond int64 exceeds every representable objective.
+  if (!bound.fits_int64()) return std::nullopt;
+  return bound.to_int64();
+}
+
+namespace {
+
+// The integral point x as machine integers; nullopt when x is fractional or
+// a coordinate does not fit int64 (such a point is not a candidate).
+std::optional<VecI> machine_point(const VecZ& x) {
+  VecI out;
+  out.reserve(x.size());
+  for (const BigInt& v : x) {
+    if (!v.fits_int64()) return std::nullopt;
+    out.push_back(v.to_int64());
+  }
+  return out;
+}
+
+std::optional<VecI> machine_point(const VecQ& x) {
+  VecI out;
+  out.reserve(x.size());
+  for (const Rational& v : x) {
+    if (!v.is_integer() || !v.num().fits_int64()) return std::nullopt;
+    out.push_back(v.num().to_int64());
+  }
+  return out;
+}
+
+}  // namespace
+
 IlpMappingResult solve_k_equals_n_minus_1(
     const model::UniformDependenceAlgorithm& algo, const MatI& space,
     SignMode sign_mode) {
@@ -129,22 +210,30 @@ IlpMappingResult solve_k_equals_n_minus_1(
     opt::IntegerProgram ip{lp};
     opt::IlpSolution sol = opt::solve_ilp(ip);
     result.ilp_nodes += sol.nodes;
-    if (sol.status != opt::IlpStatus::kOptimal) return;
-    Int objective = sol.objective.to_integer().to_int64();
-    if (!have_lower || objective < result.lower_bound) {
-      result.lower_bound = objective;
+    // A branch without a bound is infeasible or cannot reach below any
+    // representable objective: it cannot lower the minimum.
+    const std::optional<Int> bound = branch_lower_bound(sol);
+    if (!bound) return;
+    if (!have_lower || *bound < result.lower_bound) {
+      result.lower_bound = *bound;
       have_lower = true;
     }
-    VecI pi = to_int(sol.x);
+    // The optimum (or a truncated search's incumbent) is a candidate when
+    // it exists and fits int64.
+    if (sol.x.empty()) return;
+    const BigInt big_objective = sol.objective.to_integer();
+    std::optional<VecI> pi = machine_point(sol.x);
+    if (!pi || !big_objective.fits_int64()) return;
+    const Int objective = big_objective.to_int64();
     // Verify: the branch constraint used the unscaled gamma(Pi); the true
     // conflict vector is its primitive form (appendix gcd caveat).
-    if (verify(pi)) {
-      accept(std::move(pi), objective);
+    if (verify(*pi)) {
+      accept(std::move(*pi), objective);
       return;
     }
-    if (std::find(result.rejected.begin(), result.rejected.end(), pi) ==
+    if (std::find(result.rejected.begin(), result.rejected.end(), *pi) ==
         result.rejected.end()) {
-      result.rejected.push_back(std::move(pi));
+      result.rejected.push_back(std::move(*pi));
     }
     // Appendix fallback: alternative optima of the branch usually sit at
     // other extreme points ("Pi_1 is not feasible ... Pi_2 is"); enumerate
@@ -155,19 +244,15 @@ IlpMappingResult solve_k_equals_n_minus_1(
     };
     std::vector<Candidate> candidates;
     for (const VecQ& vertex : opt::enumerate_vertices(lp)) {
-      bool integral = true;
-      for (const auto& x : vertex) {
-        if (!x.is_integer()) {
-          integral = false;
-          break;
-        }
+      std::optional<VecI> vpi = machine_point(vertex);
+      if (!vpi) continue;
+      Int vobj = 0;
+      try {
+        vobj = schedule::LinearSchedule(*vpi).objective(set);
+      } catch (const exact::OverflowError&) {
+        continue;  // f beyond int64: not a candidate
       }
-      if (!integral) continue;
-      VecI vpi;
-      vpi.reserve(vertex.size());
-      for (const auto& x : vertex) vpi.push_back(x.to_integer().to_int64());
-      Int vobj = schedule::LinearSchedule(vpi).objective(set);
-      candidates.push_back({std::move(vpi), vobj});
+      candidates.push_back({std::move(*vpi), vobj});
     }
     std::sort(candidates.begin(), candidates.end(),
               [](const Candidate& a, const Candidate& b) {
@@ -183,29 +268,7 @@ IlpMappingResult solve_k_equals_n_minus_1(
     }
   };
 
-  for (std::size_t row = 0; row < n; ++row) {
-    for (int side : {+1, -1}) {
-      if (sign_mode == SignMode::kPositive) {
-        consider(build_branch(algo, f_coeffs, row, side));
-      } else {
-        // Enumerate all 2^n sign orthants.
-        std::vector<int> sigma(n, -1);
-        for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << n); ++mask) {
-          for (std::size_t i = 0; i < n; ++i) {
-            sigma[i] = (mask >> i) & 1 ? 1 : -1;
-          }
-          opt::LinearProgram lp = build_branch(algo, f_coeffs, row, side);
-          // Drop the pi_i >= 1 bounds added by build_branch: orthant mode
-          // re-derives signs.  They are the first n constraints.
-          lp.constraints.erase(lp.constraints.begin(),
-                               lp.constraints.begin() +
-                                   static_cast<std::ptrdiff_t>(n));
-          apply_orthant(lp, set, sigma);
-          consider(lp);
-        }
-      }
-    }
-  }
+  for_each_branch(algo, f_coeffs, sign_mode, consider);
   return result;
 }
 

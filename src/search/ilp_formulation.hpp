@@ -15,6 +15,7 @@
 // optimality with a bounded Procedure-5.1 sweep.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -38,12 +39,16 @@ struct IlpMappingResult {
   bool found = false;
   VecI pi;              ///< best verified schedule
   Int objective = 0;    ///< its f value
-  /// Smallest branch relaxation objective (valid lower bound on Problem 2.2
-  /// for this S even when the candidate achieving it failed verification).
+  /// Smallest branch_lower_bound over the branches (valid lower bound on
+  /// Problem 2.2 for this S even when the candidate achieving it failed
+  /// verification or a branch search was truncated).
   Int lower_bound = 0;
   /// Candidates that solved a branch but failed the gcd/conflict check.
   std::vector<VecI> rejected;
   std::uint64_t ilp_nodes = 0;
+
+  friend bool operator==(const IlpMappingResult&,
+                         const IlpMappingResult&) = default;
 };
 
 /// Solves formulation (5.1)-(5.2) for k = n-1 by branch splitting +
@@ -51,6 +56,24 @@ struct IlpMappingResult {
 IlpMappingResult solve_k_equals_n_minus_1(
     const model::UniformDependenceAlgorithm& algo, const MatI& space,
     SignMode sign_mode = SignMode::kPositive);
+
+/// Calls `visit` on every branch program of (5.1)-(5.2) for
+/// F = conflict_coefficients(S), one at a time and in the order
+/// solve_k_equals_n_minus_1 solves them: rows ascending, side +1 before
+/// -1; under kOrthants each branch expands into its 2^n sign orthants
+/// (mask ascending, bit i set for pi_i >= 0).
+void for_each_branch(
+    const model::UniformDependenceAlgorithm& algo, const MatZ& f_coeffs,
+    SignMode sign_mode,
+    const std::function<void(const opt::LinearProgram&)>& visit);
+
+/// The lower bound on f that one solved branch contributes to
+/// IlpMappingResult::lower_bound: its optimum when kOptimal, the ceiling
+/// of its root relaxation when the search hit the node limit (the
+/// unexplored subtrees may hold a better point).  nullopt when the branch
+/// cannot lower the minimum: it is infeasible, or the bound does not fit
+/// int64 (f >= 0, so it exceeds every representable objective).
+std::optional<Int> branch_lower_bound(const opt::IlpSolution& sol);
 
 /// Builds one branch ILP: minimize sum mu_i |pi_i| subject to Pi D >= 1,
 /// sign handling per mode, and the chosen disjunct

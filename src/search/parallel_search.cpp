@@ -11,12 +11,12 @@
 #include <vector>
 
 #include "exact/checked.hpp"
+#include "exact/contracts.hpp"
 #include "obs/obs.hpp"
 #include "search/enumerate.hpp"
 #include "search/fixed_space.hpp"
 #include "support/thread_pool.hpp"
 #include "search/verdict_cache.hpp"
-#include "support/contracts.hpp"
 
 namespace sysmap::search {
 

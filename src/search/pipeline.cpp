@@ -9,12 +9,12 @@
 #include <vector>
 
 #include "exact/checked.hpp"
+#include "exact/contracts.hpp"
 #include "mapping/canonical_key.hpp"
 #include "obs/obs.hpp"
 #include "search/fixed_space.hpp"
 #include "search/ilp_formulation.hpp"
 #include "search/verdict_cache.hpp"
-#include "support/contracts.hpp"
 
 namespace sysmap::search {
 

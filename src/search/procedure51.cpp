@@ -4,13 +4,13 @@
 #include <optional>
 #include <stdexcept>
 
+#include "exact/contracts.hpp"
 #include "mapping/enum_oracle.hpp"
 #include "exact/checked.hpp"
 #include "mapping/theorems.hpp"
 #include "search/enumerate.hpp"
 #include "search/fixed_space.hpp"
 #include "search/verdict_cache.hpp"
-#include "support/contracts.hpp"
 
 namespace sysmap::search {
 

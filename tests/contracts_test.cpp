@@ -1,10 +1,10 @@
-// Exercises the debug contract layer (support/contracts.hpp) in both build
+// Exercises the debug contract layer (exact/contracts.hpp) in both build
 // modes.  Under -DSYSMAP_CONTRACTS=ON the macro must throw ContractViolation
 // with a useful message and every contract-instrumented API must run its
 // postconditions silently on representative inputs; in default builds the
 // macro must compile to nothing (even for a false condition with side
 // effects in the message).
-#include "support/contracts.hpp"
+#include "exact/contracts.hpp"
 
 #include <gtest/gtest.h>
 
@@ -29,7 +29,7 @@ TEST(ContractsTest, MacroThrowsWithLocationAndDetail) {
   try {
     SYSMAP_CONTRACT(1 + 1 == 3, "arithmetic detail " << 42);
     FAIL() << "contract did not throw";
-  } catch (const support::ContractViolation& e) {
+  } catch (const exact::ContractViolation& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("1 + 1 == 3"), std::string::npos) << what;
     EXPECT_NE(what.find("arithmetic detail 42"), std::string::npos) << what;

@@ -7,7 +7,7 @@
 #include "mapping/conflict.hpp"
 #include "schedule/interconnect.hpp"
 #include "search/procedure51.hpp"
-#include "support/contracts.hpp"
+#include "support/thread_pool.hpp"
 #include "systolic/collision.hpp"
 
 namespace fixture {}

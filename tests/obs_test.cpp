@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "opt/ilp.hpp"
 #include "support/thread_pool.hpp"
 
 namespace sysmap {
@@ -148,6 +149,33 @@ TEST(ObsTest, JsonExportIsSortedAndTyped) {
   EXPECT_EQ(json.find(",}"), std::string::npos);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
+}
+
+TEST(ObsTest, OptCountersRecordOncePerCall) {
+  if (!obs::kEnabled) GTEST_SKIP() << "SYSMAP_OBS=OFF build";
+  using exact::Rational;
+  // max 5x + 4y s.t. 6x + 4y <= 24, x + 2y <= 6, x, y >= 0: the integer
+  // optimum (4, 0) takes five branch-and-bound nodes.
+  opt::LinearProgram lp;
+  lp.num_vars = 2;
+  lp.objective = {Rational(-5), Rational(-4)};
+  lp.add({Rational(6), Rational(4)}, opt::Relation::kLe, Rational(24));
+  lp.add({Rational(1), Rational(2)}, opt::Relation::kLe, Rational(6));
+  lp.add_bound(0, opt::Relation::kGe, Rational(0));
+  lp.add_bound(1, opt::Relation::kGe, Rational(0));
+  obs::reset();
+  const opt::IlpSolution sol = opt::solve_ilp({lp});
+  ASSERT_EQ(sol.nodes, 5u);
+  const std::vector<obs::Metric> all = obs::snapshot();
+  const obs::Metric nodes = find_metric(all, "opt.ilp.nodes");
+  EXPECT_EQ(nodes.total, 5u);
+  EXPECT_EQ(nodes.events, 1u);  // one record per call, not per node
+  const obs::Metric solves = find_metric(all, "opt.lp.solves");
+  EXPECT_EQ(solves.total, 5u);  // one simplex run per node
+  EXPECT_EQ(solves.events, 1u);
+  const obs::Metric pivots = find_metric(all, "opt.lp.pivots");
+  EXPECT_GT(pivots.total, 0u);
+  EXPECT_EQ(pivots.events, 1u);
 }
 
 TEST(ObsTest, TableFormatsEveryMetric) {

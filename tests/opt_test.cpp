@@ -244,6 +244,28 @@ TEST(Ilp, NodeLimitTruncates) {
   EXPECT_EQ(s.status, IlpStatus::kNodeLimit);
 }
 
+TEST(Ilp, NodeLimitReportsRootBound) {
+  // min -y s.t. 2y <= 5: the root relaxation y = 5/2 is fractional, so one
+  // node cannot finish the search.  The truncated result carries no
+  // incumbent but still bounds the optimum by the root objective.
+  LinearProgram lp;
+  lp.num_vars = 1;
+  lp.objective = {q(-1)};
+  lp.add({q(2)}, Relation::kLe, q(5));
+  lp.add_bound(0, Relation::kGe, q(0));
+  IlpSolution s = solve_ilp({lp}, /*node_limit=*/1);
+  EXPECT_EQ(s.status, IlpStatus::kNodeLimit);
+  EXPECT_EQ(s.nodes, 1u);
+  EXPECT_TRUE(s.x.empty());
+  ASSERT_TRUE(s.root_objective.has_value());
+  EXPECT_EQ(*s.root_objective, q(-5, 2));
+
+  IlpSolution full = solve_ilp({lp});
+  ASSERT_EQ(full.status, IlpStatus::kOptimal);
+  EXPECT_EQ(full.root_objective, s.root_objective);
+  EXPECT_LE(*full.root_objective, full.objective);
+}
+
 TEST(Ilp, NegativeVariablesSupported) {
   // min x s.t. x >= -7/2, x integer: optimum -3.
   LinearProgram lp;

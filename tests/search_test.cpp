@@ -18,6 +18,7 @@ namespace sysmap::search {
 namespace {
 
 using exact::BigInt;
+using exact::Rational;
 
 // ---------------------------------------------------------------------------
 // Candidate enumeration
@@ -248,6 +249,53 @@ TEST(IlpFormulation, TransitiveClosure) {
   ASSERT_TRUE(r.found);
   EXPECT_EQ(r.objective, mu * (mu + 3));
   EXPECT_EQ(r.pi, (VecI{mu + 1, 1, 1}));
+}
+
+TEST(IlpFormulation, BranchLowerBoundRule) {
+  using opt::IlpSolution;
+  using opt::IlpStatus;
+  IlpSolution optimal;
+  optimal.status = IlpStatus::kOptimal;
+  optimal.objective = Rational(7);
+  optimal.root_objective = Rational(BigInt(13), BigInt(2));
+  EXPECT_EQ(branch_lower_bound(optimal), std::optional<Int>(7));
+
+  // Truncated: the unexplored tree is bounded by the root relaxation's
+  // ceiling, not by the incumbent.
+  IlpSolution truncated = optimal;
+  truncated.status = IlpStatus::kNodeLimit;
+  truncated.objective = Rational(9);
+  EXPECT_EQ(branch_lower_bound(truncated), std::optional<Int>(7));
+  truncated.root_objective = Rational(BigInt(-5), BigInt(2));
+  EXPECT_EQ(branch_lower_bound(truncated), std::optional<Int>(-2));
+  truncated.root_objective.reset();  // node_limit 0: only f >= 0 is known
+  EXPECT_EQ(branch_lower_bound(truncated), std::optional<Int>(0));
+
+  IlpSolution infeasible;
+  EXPECT_EQ(branch_lower_bound(infeasible), std::nullopt);
+
+  // An optimum beyond int64 cannot lower any representable minimum.
+  IlpSolution huge = optimal;
+  huge.objective = Rational(BigInt(Int{1} << 40) * BigInt(Int{1} << 40));
+  EXPECT_EQ(branch_lower_bound(huge), std::nullopt);
+  huge.status = IlpStatus::kNodeLimit;
+  huge.root_objective = huge.objective;
+  EXPECT_EQ(branch_lower_bound(huge), std::nullopt);
+}
+
+TEST(IlpFormulation, HugeMuBoxDoesNotThrow) {
+  // Every branch optimum is about mu^2 > int64: each branch is skipped
+  // rather than letting an OverflowError escape, and the route reports
+  // not-found so the pipeline falls through to Procedure 5.1.
+  const Int mu = Int{1} << 40;
+  model::UniformDependenceAlgorithm algo = model::unit_cube_algorithm(3, mu);
+  for (SignMode mode : {SignMode::kPositive, SignMode::kOrthants}) {
+    IlpMappingResult r;
+    EXPECT_NO_THROW(r = solve_k_equals_n_minus_1(algo, MatI{{1, 1, -1}},
+                                                 mode));
+    EXPECT_FALSE(r.found);
+    EXPECT_GT(r.ilp_nodes, 0u);
+  }
 }
 
 TEST(IlpFormulation, AgreesWithProcedure51) {
