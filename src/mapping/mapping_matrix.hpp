@@ -43,6 +43,8 @@ class MappingMatrix {
   /// rank(T) == k (Definition 2.2, condition 4).
   bool has_full_rank() const;
 
+  friend bool operator==(const MappingMatrix&, const MappingMatrix&) = default;
+
  private:
   MatI t_;
 };

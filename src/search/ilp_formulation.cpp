@@ -130,6 +130,35 @@ void for_each_branch(
   }
 }
 
+bool positive_orthant_forced(const MatI& d) {
+  const std::size_t n = d.rows();
+  const std::size_t m = d.cols();
+  for (std::size_t i = 0; i < n; ++i) {
+    bool unit = false;
+    for (std::size_t c = 0; c < m && !unit; ++c) {
+      unit = d(i, c) > 0;
+      for (std::size_t r = 0; r < n && unit; ++r) {
+        unit = r == i || d(r, c) == 0;
+      }
+    }
+    if (unit) continue;
+    // Is there lambda >= 0 with D lambda = e_i?
+    opt::LinearProgram lp;
+    lp.num_vars = m;
+    lp.objective.assign(m, Rational(0));
+    for (std::size_t r = 0; r < n; ++r) {
+      VecQ row(m);
+      for (std::size_t c = 0; c < m; ++c) row[c] = Rational(d(r, c));
+      lp.add(std::move(row), opt::Relation::kEq, Rational(r == i ? 1 : 0));
+    }
+    for (std::size_t c = 0; c < m; ++c) {
+      lp.add_bound(c, opt::Relation::kGe, Rational(0));
+    }
+    if (opt::solve_lp(lp).status != opt::LpStatus::kOptimal) return false;
+  }
+  return true;
+}
+
 std::optional<Int> branch_lower_bound(const opt::IlpSolution& sol) {
   BigInt bound;
   switch (sol.status) {

@@ -35,6 +35,15 @@ enum class SignMode {
   kOrthants,  ///< enumerate all 2^n sign orthants (general)
 };
 
+/// True when Pi D > 0 forces every pi_i >= 1, so SignMode::kPositive
+/// searches the whole feasible set and its lower bound is valid.  Exact:
+/// this holds iff every unit vector e_i lies in the cone of D's columns
+/// (then pi_i = Pi D lambda >= sum lambda > 0 for integer Pi; otherwise a
+/// Farkas ray moves a feasible Pi to pi_i <= 0).  A column equal to a
+/// positive multiple of e_i decides coordinate i at once; only the
+/// remaining coordinates cost one feasibility LP each.
+bool positive_orthant_forced(const MatI& d);
+
 struct IlpMappingResult {
   bool found = false;
   VecI pi;              ///< best verified schedule

@@ -23,6 +23,9 @@ namespace {
 /// Levels past this would make the prefix DP arrays unreasonably large;
 /// the orbit cache simply stands down for such bounds.
 constexpr Int kMaxPrefixLevels = Int{1} << 20;
+/// Dependence matrices whose positive-orthant verdict a fused pipeline
+/// remembers.
+constexpr std::size_t kOrthantMemoCapacity = 16;
 
 // Completes a found schedule with array design and optional simulation.
 void finalize(const model::UniformDependenceAlgorithm& algo,
@@ -130,6 +133,9 @@ struct MappingPipeline::Fusion {
   std::vector<std::uint64_t> cum;
   std::unordered_map<mapping::ConflictKey, Entry, mapping::ConflictKeyHash>
       entries;
+  /// positive_orthant_forced per dependence matrix, so the fused ILP route
+  /// pays its cone LPs once per D, not once per query.
+  std::vector<std::pair<MatI, bool>> orthant_forced;
 
   std::atomic<std::uint64_t> orbit_hits{0};
   std::atomic<std::uint64_t> orbit_misses{0};
@@ -160,6 +166,22 @@ struct MappingPipeline::Fusion {
       ready = true;
     }
     return prefix_ok;
+  }
+
+  /// Memoized positive_orthant_forced(d); the LPs run outside the lock.
+  /// The memo is cleared when full -- only its hit rate depends on that.
+  bool positive_orthant(const MatI& d) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      for (const auto& [key, forced] : orthant_forced) {
+        if (key == d) return forced;
+      }
+    }
+    const bool forced = positive_orthant_forced(d);
+    std::lock_guard<std::mutex> lock(mu);
+    if (orthant_forced.size() >= kOrthantMemoCapacity) orthant_forced.clear();
+    orthant_forced.emplace_back(d, forced);
+    return forced;
   }
 
   std::optional<Entry> lookup(const mapping::ConflictKey& key) {
@@ -311,8 +333,14 @@ MappingSolution MappingPipeline::solve(
     // ILP candidate + lower bound, then certify with a bounded sweep.
     // (With a fixed target interconnect the routing constraint is not part
     // of the ILP, so fall through to pure Procedure 5.1 instead.)
-    IlpMappingResult ilp =
-        solve_k_equals_n_minus_1(algo, space, SignMode::kPositive);
+    // The positive-orthant ILP is cheaper but sound only when Pi D > 0
+    // forces every pi_i >= 1; otherwise go straight to the orthants.
+    const bool positive = fusion != nullptr ? fusion->positive_orthant(d)
+                                            : positive_orthant_forced(d);
+    IlpMappingResult ilp;
+    if (positive) {
+      ilp = solve_k_equals_n_minus_1(algo, space, SignMode::kPositive);
+    }
     if (!ilp.found) {
       ilp = solve_k_equals_n_minus_1(algo, space, SignMode::kOrthants);
     }

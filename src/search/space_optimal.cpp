@@ -4,7 +4,6 @@
 #include <atomic>
 #include <limits>
 #include <mutex>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -205,65 +204,6 @@ bool exceeds_strictly(Int a, Int b, Int bound) {
   return sum > bound;
 }
 
-// std::set reference walk (the seed's processor counter).
-Int count_images_generic(const model::IndexSet& set, const MatI& space) {
-  std::set<VecI> images;
-  set.for_each([&](const VecI& j) { images.insert(space * j); });
-  return static_cast<Int>(images.size());
-}
-
-// SYSMAP_RAW_FASTPATH(bounded: all image-key arithmetic is uint64 modulo
-// 2^64 by design -- the packed keys are exact values below
-// packing.product, so wrapping sums of packed deltas land on the exact
-// packed key; see support/flat_image_set.hpp for the argument)
-//
-// Incremental packed-image walk: odometer over the box in axis order,
-// where stepping axis i adds column i of S to the image point -- and,
-// because packing is linear, adds ONE precomputed uint64 delta to the
-// packed key.  No mat-vec, no image vector, no per-point allocation.
-// Returns the exact count, or -1 when `exit_above >= 0` and the running
-// count exceeded it (the caller's incumbent bound proves the candidate
-// strictly loses, so the exact value is irrelevant).
-Int count_images_packed(const model::IndexSet& set, const MatI& space,
-                        const support::ImagePacking& packing,
-                        support::FlatImageSet& images, Int exit_above) {
-  const std::size_t n = set.dimension();
-  const std::size_t m = space.rows();
-  images.clear();
-  std::vector<std::uint64_t> step(n, 0);
-  std::vector<std::uint64_t> back(n, 0);
-  VecI col(m, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t r = 0; r < m; ++r) col[r] = space(r, i);
-    step[i] = packing.pack_delta(col);
-    // Carrying axis i from mu_i back to 0 subtracts mu_i steps (wrapping).
-    back[i] = std::uint64_t{0} -
-              static_cast<std::uint64_t>(set.mu(i)) * step[i];
-  }
-  const VecI origin(m, 0);  // image of j = 0
-  std::uint64_t key = packing.pack(origin);
-  images.insert(key);
-  Int count = 1;
-  if (exit_above >= 0 && count > exit_above) return -1;
-  VecI v(n, 0);
-  for (;;) {
-    std::size_t i = 0;
-    while (i < n && v[i] == set.mu(i)) {
-      key += back[i];
-      v[i] = 0;
-      ++i;
-    }
-    if (i == n) break;
-    ++v[i];
-    key += step[i];
-    if (images.insert(key)) {
-      ++count;
-      if (exit_above >= 0 && count > exit_above) return -1;
-    }
-  }
-  return count;
-}
-
 // True when S is injective on the box, i.e. no nonzero integer kernel
 // vector of S lies in the difference box [-mu, mu]^n -- then the image
 // count is |J| with no enumeration at all.  False means "not proven"
@@ -303,9 +243,9 @@ struct SweepStats {
 };
 
 // Per-worker processor-count evaluator: orbit-cache lookup, injectivity
-// shortcut, packed incremental walk (one reused flat table), std::set
-// fallback.  Every path computes the same exact count; only speed and the
-// advisory stats differ.
+// shortcut, then support::count_images on one reused flat table.  Every
+// path computes the same exact count; only speed and the advisory stats
+// differ.
 class ProcessorCounter {
  public:
   ProcessorCounter(const model::IndexSet& set, const SpaceSearchOptions& opt,
@@ -332,21 +272,20 @@ class ProcessorCounter {
         return *hit;
       }
     }
-    Int exact_count = -1;
+    std::optional<support::ImagePacking> packing;
     if (options_->use_incremental_count) {
-      const std::optional<support::ImagePacking> packing =
-          support::ImagePacking::build(space, *set_);
-      if (packing && points_known_ && points_ >= kInjectivityMinPoints &&
-          packing->product >= points_ && injective_on_box(*set_, space)) {
-        ++stats.injective_shortcuts;
-        exact_count = static_cast<Int>(points_);
-      } else if (packing) {
-        exact_count =
-            count_images_packed(*set_, space, *packing, images_, exit_above);
-        if (exact_count < 0) return std::nullopt;  // early exit: loses
-      }
+      packing = support::ImagePacking::build(space, *set_);
     }
-    if (exact_count < 0) exact_count = count_images_generic(*set_, space);
+    Int exact_count = 0;
+    if (packing && points_known_ && points_ >= kInjectivityMinPoints &&
+        packing->product >= points_ && injective_on_box(*set_, space)) {
+      ++stats.injective_shortcuts;
+      exact_count = static_cast<Int>(points_);
+    } else {
+      exact_count =
+          support::count_images(*set_, space, packing, images_, exit_above);
+      if (exact_count < 0) return std::nullopt;  // early exit: loses
+    }
     if (counts_ != nullptr) counts_->insert(*orbit_key, exact_count);
     return exact_count;
   }
@@ -502,17 +441,13 @@ std::vector<MatI> candidate_spaces(std::size_t n,
 ArrayCost evaluate_array_cost(const model::UniformDependenceAlgorithm& algo,
                               const MatI& space) {
   ArrayCost cost;
-  cost.processors = count_images_generic(algo.index_set(), space);
+  cost.processors = support::count_images_generic(algo.index_set(), space);
   cost.wire_length = wire_length_sum(space, algo.dependence_matrix());
   return cost;
 }
 
 Int count_processor_images(const model::IndexSet& set, const MatI& space) {
-  const std::optional<support::ImagePacking> packing =
-      support::ImagePacking::build(space, set);
-  if (!packing) return count_images_generic(set, space);
-  support::FlatImageSet images(64);
-  return count_images_packed(set, space, *packing, images, /*exit_above=*/-1);
+  return support::count_images(set, space);
 }
 
 // ---- Problem 6.1: seed engine (parity oracle) ------------------------------

@@ -62,8 +62,8 @@ struct SpaceSearchOptions {
   /// caller thread.  Results are bit-identical for every thread count:
   /// the parallel reduction reproduces the serial incumbent order.
   std::size_t num_threads = 1;
-  /// Count processors by the incremental packed-image walk (plus the
-  /// kernel-lattice injectivity shortcut) instead of the std::set walk.
+  /// Count processors by the packed-image walk (plus the kernel-lattice
+  /// injectivity shortcut) instead of support::count_images_generic.
   /// Both are exact; this is purely a speed switch for benchmarking.
   bool use_incremental_count = true;
   /// Reuse processor counts across candidates in the same cost orbit
@@ -205,14 +205,12 @@ inline DesignSpaceResult pareto_front(
 }
 
 /// Exact array cost of a given S on J (exposed for tests and benches).
-/// std::set reference walk -- the oracle the incremental counter is
-/// tested against.
+/// Counts with support::count_images_generic, the std::set walk, so the
+/// seed sweeps stay an oracle independent of the packed counter.
 ArrayCost evaluate_array_cost(const model::UniformDependenceAlgorithm& algo,
                               const MatI& space);
 
-/// Exact |{S j : j in J}| via the incremental packed-image walk (falls
-/// back to the reference walk when the image box does not pack into
-/// uint64).  Exposed for the randomized oracle test and the bench.
+/// Exact |{S j : j in J}|: support::count_images with a private table.
 Int count_processor_images(const model::IndexSet& set, const MatI& space);
 
 /// Lazy resumable enumerator over candidate space matrices, in the exact

@@ -1,20 +1,14 @@
-// Flat open-addressing set of packed image points, for the Problem 6.1/6.2
-// processor-count walks.
-//
-// The expensive half of the array-cost model is processors = |{S j : j in
-// J}|.  The seed counted it with a std::set<VecI>, paying one heap-allocating
-// mat-vec plus one tree insert per index point.  The mixed-radix uint64
-// packing that makes the flat walk possible lives in support/packed_coord.hpp
-// (ImagePacking) -- it is shared with the systolic execution engine, which
-// packs PE and wire coordinates the same way.  Crucially the packing is
-// LINEAR in y, so the incremental walk of space_optimal.cpp
-// (S(j + e_i) = S j + s_i) updates the packed key with a single wrapping
-// uint64 add per index point and never materializes y at all.  The set
-// itself is a power-of-two open-addressing table with linear probing and
-// Fibonacci hashing: one cache line per probe, no allocation per insert,
-// ~20-50x cheaper than the std::set path it replaces
-// (tests/space_search_test.cpp holds the two counts equal on random
-// space/box pairs).
+// The exact processor-image counter |{S j : j in J}| and the flat
+// open-addressing set it walks into.  Every processor count in the library
+// comes from here: the Problem 6.1/6.2 space sweeps and the dedicated
+// arrays of Definition 2.2, whose PEs are exactly the distinct images S j.
+// The walk packs images with ImagePacking (support/packed_coord.hpp).  The
+// packing is LINEAR in y, so an odometer step S(j + e_i) = S j + s_i adds
+// one uint64 delta to the packed key and never materializes y.  The set is
+// a power-of-two open-addressing table (linear probing, Fibonacci
+// hashing): one cache line per probe, no allocation per insert.  Image
+// boxes that do not pack into uint64 fall back to a std::set of image
+// vectors.  tests/image_count_test.cpp holds both paths to a brute force.
 #pragma once
 
 #include <cstddef>
@@ -88,5 +82,21 @@ class FlatImageSet {
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
 };
+
+/// Exact |{S j : j in J}|.  `packing` must be ImagePacking::build(space,
+/// set); the packed walk reuses `table`, and nullopt falls back to
+/// count_images_generic.  With `exit_above >= 0` the count stops and
+/// returns -1 as soon as it exceeds exit_above.
+Int count_images(const model::IndexSet& set, const MatI& space,
+                 const std::optional<ImagePacking>& packing,
+                 FlatImageSet& table, Int exit_above = -1);
+
+/// Exact |{S j : j in J}| with a private table.
+Int count_images(const model::IndexSet& set, const MatI& space);
+
+/// The std::set-of-image-vectors count, for image boxes that do not pack
+/// into uint64.  Same contract as count_images.
+Int count_images_generic(const model::IndexSet& set, const MatI& space,
+                         Int exit_above = -1);
 
 }  // namespace sysmap::support

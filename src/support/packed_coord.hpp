@@ -15,10 +15,8 @@
 // Builders return nullopt when a bound or the radix product leaves uint64
 // range; callers then fall back to tree-map/set storage of un-packed
 // vectors (and the tests hold the two paths equal).
-//
-// This header was extracted from support/flat_image_set.hpp when the
-// systolic execution engine started packing PE and wire coordinates; the
-// image-set specific open-addressing set stayed behind.
+// The processor-image counter built on this packing is in
+// support/flat_image_set.hpp.
 #pragma once
 
 #include <cstddef>

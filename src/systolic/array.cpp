@@ -4,21 +4,11 @@
 #include <utility>
 
 #include "exact/checked.hpp"
+#include "obs/obs.hpp"
 #include "schedule/linear_schedule.hpp"
+#include "support/flat_image_set.hpp"
 
 namespace sysmap::systolic {
-
-namespace {
-
-std::set<VecI> collect_processors(const model::UniformDependenceAlgorithm& algo,
-                                  const mapping::MappingMatrix& t) {
-  std::set<VecI> processors;
-  algo.index_set().for_each(
-      [&](const VecI& j) { processors.insert(t.processor(j)); });
-  return processors;
-}
-
-}  // namespace
 
 Int ArrayDesign::total_buffers() const {
   Int total = 0;
@@ -29,6 +19,7 @@ Int ArrayDesign::total_buffers() const {
 ArrayDesign design_dedicated_array(
     const model::UniformDependenceAlgorithm& algo,
     const mapping::MappingMatrix& t) {
+  SYSMAP_SPAN("systolic.design");
   const MatI& d = algo.dependence_matrix();
   schedule::LinearSchedule sched(t.schedule());
   if (!sched.respects_dependences(d)) {
@@ -42,7 +33,7 @@ ArrayDesign design_dedicated_array(
                   VecI(m, 0),
                   VecI(m, 1),
                   VecI(m, 0),
-                  collect_processors(algo, t)};
+                  support::count_images(algo.index_set(), t.space())};
   for (std::size_t i = 0; i < m; ++i) {
     out.delays[i] = sched.dependence_delay(d, i);
     // A dedicated link moves the datum in one hop; if the dependence maps
@@ -67,6 +58,7 @@ ArrayDesign design_dedicated_array(
 std::optional<ArrayDesign> design_on_interconnect(
     const model::UniformDependenceAlgorithm& algo,
     const mapping::MappingMatrix& t, const schedule::Interconnect& net) {
+  SYSMAP_SPAN("systolic.design");
   const MatI& d = algo.dependence_matrix();
   schedule::LinearSchedule sched(t.schedule());
   if (!sched.respects_dependences(d)) return std::nullopt;
@@ -79,7 +71,7 @@ std::optional<ArrayDesign> design_on_interconnect(
                      std::move(routing->delays),
                      std::move(routing->hops),
                      std::move(routing->buffers),
-                     collect_processors(algo, t)};
+                     support::count_images(algo.index_set(), t.space())};
 }
 
 }  // namespace sysmap::systolic

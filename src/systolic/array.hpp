@@ -9,8 +9,8 @@
 //    from minimum-hop routing (schedule/interconnect.hpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <set>
 
 #include "mapping/mapping_matrix.hpp"
 #include "model/algorithm.hpp"
@@ -31,11 +31,15 @@ struct ArrayDesign {
   VecI hops;
   /// Buffers per dependence link: delays - hops.
   VecI buffers;
-  /// All processor coordinates S j for j in J.
-  std::set<VecI> processors;
+  /// Number of PEs, |{S j : j in J}| (support::count_images).
+  Int processors = 0;
 
-  std::size_t num_processors() const { return processors.size(); }
+  std::size_t num_processors() const {
+    return static_cast<std::size_t>(processors);
+  }
   Int total_buffers() const;
+
+  friend bool operator==(const ArrayDesign&, const ArrayDesign&) = default;
 };
 
 /// Dedicated-array design: P = S D (one direct link per dependence), K = I.

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "opt/ilp.hpp"
+#include "support/flat_image_set.hpp"
 #include "support/thread_pool.hpp"
 
 namespace sysmap {
@@ -176,6 +177,29 @@ TEST(ObsTest, OptCountersRecordOncePerCall) {
   const obs::Metric pivots = find_metric(all, "opt.lp.pivots");
   EXPECT_GT(pivots.total, 0u);
   EXPECT_EQ(pivots.events, 1u);
+}
+
+TEST(ObsTest, ImageCountCountersRecordOncePerCall) {
+  if (!obs::kEnabled) GTEST_SKIP() << "SYSMAP_OBS=OFF build";
+  const model::IndexSet set{VecI{4, 4, 4}};
+  obs::reset();
+  // Packs: one walk over 125 points is one record.
+  EXPECT_EQ(support::count_images(set, MatI{{1, 1, -1}}), 13);
+  std::vector<obs::Metric> all = obs::snapshot();
+  obs::Metric walks = find_metric(all, "support.image_count.packed_walks");
+  EXPECT_EQ(walks.total, 1u);
+  EXPECT_EQ(walks.events, 1u);
+  EXPECT_EQ(find_metric(all, "support.image_count.set_fallbacks").total, 0u);
+  // Entries near 2^40 in two rows: the image box overflows uint64.
+  const Int big = Int{1} << 40;
+  obs::reset();
+  EXPECT_EQ(support::count_images(set, MatI{{big, 1, 0}, {0, big, 1}}), 125);
+  all = obs::snapshot();
+  const obs::Metric fallbacks =
+      find_metric(all, "support.image_count.set_fallbacks");
+  EXPECT_EQ(fallbacks.total, 1u);
+  EXPECT_EQ(fallbacks.events, 1u);
+  EXPECT_EQ(find_metric(all, "support.image_count.packed_walks").total, 0u);
 }
 
 TEST(ObsTest, TableFormatsEveryMetric) {

@@ -50,12 +50,7 @@ void expect_same_solution(const MappingSolution& cold,
   }
   ASSERT_EQ(cold.array.has_value(), fused.array.has_value()) << label;
   if (cold.array && fused.array) {
-    EXPECT_EQ(cold.array->p, fused.array->p) << label;
-    EXPECT_EQ(cold.array->k, fused.array->k) << label;
-    EXPECT_EQ(cold.array->delays, fused.array->delays) << label;
-    EXPECT_EQ(cold.array->hops, fused.array->hops) << label;
-    EXPECT_EQ(cold.array->buffers, fused.array->buffers) << label;
-    EXPECT_EQ(cold.array->processors, fused.array->processors) << label;
+    EXPECT_EQ(*cold.array, *fused.array) << label;
   }
 }
 

@@ -11,6 +11,7 @@
 #include "schedule/linear_schedule.hpp"
 #include "search/extreme_points.hpp"
 #include "search/ilp_formulation.hpp"
+#include "search/pipeline.hpp"
 #include "search/procedure51.hpp"
 #include "search/prop81.hpp"
 
@@ -317,6 +318,77 @@ TEST(IlpFormulation, AgreesWithProcedure51) {
     } else {
       EXPECT_FALSE(ilp.found) << "mu=" << mu;
       EXPECT_FALSE(ilp.rejected.empty()) << "mu=" << mu;
+    }
+  }
+}
+
+// D = [e1, e2, (1, 0, -1)]: Pi D >= 1 forces pi_1, pi_2 >= 1 but leaves
+// pi_3 <= pi_1 - 1 free, so the optimum may have pi_3 <= 0 -- outside the
+// positive orthant that SignMode::kPositive searches.
+model::UniformDependenceAlgorithm free_third_coordinate(Int mu) {
+  return {"free_third", model::IndexSet::cube(3, mu),
+          MatI{{1, 0, 1}, {0, 1, 0}, {0, 0, -1}}};
+}
+
+TEST(IlpFormulation, PositiveOrthantForcedIffUnitVectorsInCone) {
+  // Every unit vector is a column.
+  EXPECT_TRUE(positive_orthant_forced(model::matmul(2).dependence_matrix()));
+  EXPECT_TRUE(positive_orthant_forced(
+      model::unit_cube_algorithm(4, 2).dependence_matrix()));
+  EXPECT_TRUE(positive_orthant_forced(
+      model::convolution_2d(2, 2, 1, 1).dependence_matrix()));
+  // e1 = (1,-1,-1) + e2 + e3 needs the cone LP.
+  EXPECT_TRUE(positive_orthant_forced(
+      model::transitive_closure(2).dependence_matrix()));
+  // A positive multiple of e_i counts.  In the last 2-D case e2 is
+  // (1,1) - (1,0), which is not a nonnegative combination.
+  EXPECT_TRUE(positive_orthant_forced(MatI{{2, 0}, {0, 3}}));
+  EXPECT_FALSE(positive_orthant_forced(MatI{{1, 1}, {0, 1}}));
+  EXPECT_FALSE(positive_orthant_forced(
+      free_third_coordinate(2).dependence_matrix()));
+}
+
+TEST(IlpFormulation, FreeCoordinateOptimumOutsidePositiveOrthant) {
+  const model::UniformDependenceAlgorithm algo = free_third_coordinate(3);
+  const MatI space{{2, 1, 2}};
+  const SearchResult proc = procedure_5_1(algo, space);
+  ASSERT_TRUE(proc.found);
+  EXPECT_EQ(proc.objective, 9);
+  EXPECT_LE(proc.pi[2], 0);
+  const MappingSolution ilp = MappingPipeline().find_time_optimal(algo, space);
+  ASSERT_TRUE(ilp.found);
+  EXPECT_EQ(ilp.objective, proc.objective);
+  EXPECT_LE(ilp.pi[2], 0);  // e.g. [1, 2, 0]; ties may differ from proc
+}
+
+TEST(IlpFormulation, CertifiedRouteMatchesProcedure51OnFreeCoordinate) {
+  PipelineOptions options;
+  options.design_array = false;
+  options.method = Method::kIlpCertified;
+  const MappingPipeline certified(options);
+  MappingPipeline fused(options);  // memoizes the orthant verdict per D
+  fused.enable_fusion({});
+  for (Int mu : {2, 3}) {
+    const model::UniformDependenceAlgorithm algo = free_third_coordinate(mu);
+    for (Int a = -1; a <= 1; ++a) {
+      for (Int b = -1; b <= 1; ++b) {
+        for (Int c = -1; c <= 1; ++c) {
+          if (a == 0 && b == 0 && c == 0) continue;
+          const MatI space{{a, b, c}};
+          const SearchResult proc = procedure_5_1(algo, space);
+          const MappingSolution ilp = certified.find_time_optimal(algo, space);
+          const std::string label = "mu=" + std::to_string(mu) + " S=[" +
+                                    std::to_string(a) + " " +
+                                    std::to_string(b) + " " +
+                                    std::to_string(c) + "]";
+          ASSERT_EQ(ilp.found, proc.found) << label;
+          if (proc.found) {
+            EXPECT_EQ(ilp.objective, proc.objective) << label;
+          }
+          EXPECT_EQ(fused.score(algo, space).objective, ilp.objective)
+              << label;
+        }
+      }
     }
   }
 }
