@@ -150,17 +150,9 @@ SearchResult procedure_5_1_parallel(
   }
   if (chunk_size == 0) chunk_size = kDefaultChunk;
 
-  Int max_objective = options.max_objective;
-  if (max_objective <= 0) {
-    Int mu_max = 0;
-    Int mu_sum = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      mu_max = std::max(mu_max, set.mu(i));
-      mu_sum = exact::add_checked(mu_sum, set.mu(i));
-    }
-    max_objective =
-        exact::mul_checked(4, exact::mul_checked(mu_max + 1, mu_sum));
-  }
+  const Int max_objective = options.max_objective > 0
+                                ? options.max_objective
+                                : default_max_objective(set);
 
   // One immutable fixed-S context shared by every worker; skipped under
   // brute force exactly as in the serial driver, and borrowed from the

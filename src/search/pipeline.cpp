@@ -12,6 +12,7 @@
 #include "exact/contracts.hpp"
 #include "mapping/canonical_key.hpp"
 #include "obs/obs.hpp"
+#include "search/enumerate.hpp"
 #include "search/fixed_space.hpp"
 #include "search/ilp_formulation.hpp"
 #include "search/verdict_cache.hpp"
@@ -20,9 +21,6 @@ namespace sysmap::search {
 
 namespace {
 
-/// Levels past this would make the prefix DP arrays unreasonably large;
-/// the orbit cache simply stands down for such bounds.
-constexpr Int kMaxPrefixLevels = Int{1} << 20;
 /// Dependence matrices whose positive-orthant verdict a fused pipeline
 /// remembers.
 constexpr std::size_t kOrthantMemoCapacity = 16;
@@ -51,64 +49,6 @@ void finalize(const model::UniformDependenceAlgorithm& algo,
   }
 }
 
-// The heuristic objective bound Procedure 5.1 applies when the caller
-// passes 0 -- resolved here explicitly so the incumbent cap and the orbit
-// entries can compose with it.
-Int default_max_objective(const model::IndexSet& set) {
-  Int mu_max = 0;
-  Int mu_sum = 0;
-  for (std::size_t i = 0; i < set.dimension(); ++i) {
-    mu_max = std::max(mu_max, set.mu(i));
-    mu_sum = exact::add_checked(mu_sum, set.mu(i));
-  }
-  return exact::mul_checked(4, exact::mul_checked(mu_max + 1, mu_sum));
-}
-
-// Exact cumulative per-level candidate counts of the Procedure-5.1
-// enumeration: cum[f] = number of candidates for_each_schedule_at visits
-// over levels 1..f, i.e. sum over l <= f of #{pi : sum |pi_i| mu_i = l}.
-// Computed from the generating function prod_i (1 + 2 x^{mu_i} +
-// 2 x^{2 mu_i} + ...) with one O(size) convolution per coordinate -- never
-// by enumeration, which is what lets a schedule-orbit hit reproduce the
-// cold search's candidates_tested without re-walking the skipped levels.
-// Returns false when a count overflows uint64 or the bound is oversized;
-// the orbit cache then stands down entirely.
-bool build_level_prefix(const model::IndexSet& set, Int max,
-                        std::vector<std::uint64_t>& cum) {
-  if (max < 0 || max > kMaxPrefixLevels) return false;
-  bool ok = true;
-  auto add = [&ok](std::uint64_t a, std::uint64_t b) {
-    std::uint64_t s = 0;
-    if (__builtin_add_overflow(a, b, &s)) ok = false;
-    return s;
-  };
-  const std::size_t size = static_cast<std::size_t>(max) + 1;
-  std::vector<std::uint64_t> ways(size, 0);
-  ways[0] = 1;  // the empty assignment at level 0 (never itself visited)
-  std::vector<std::uint64_t> run(size, 0);
-  std::vector<std::uint64_t> next(size, 0);
-  for (std::size_t i = 0; i < set.dimension() && ok; ++i) {
-    const Int mu = set.mu(i);
-    // mu <= 0 coordinates are pinned to 0 by the enumeration (factor 1);
-    // mu > max coordinates contribute nothing below the bound either.
-    if (mu <= 0 || static_cast<std::uint64_t>(mu) >= size) continue;
-    const std::size_t m = static_cast<std::size_t>(mu);
-    for (std::size_t f = 0; f < size; ++f) {
-      // run[f] = sum_{a >= 1} ways[f - a m] over the PREVIOUS layer.
-      const std::uint64_t r = f >= m ? add(ways[f - m], run[f - m]) : 0;
-      run[f] = r;
-      next[f] = add(ways[f], add(r, r));  // ways[f] + 2 * run[f]
-    }
-    ways.swap(next);
-  }
-  if (!ok) return false;
-  cum.assign(size, 0);
-  for (std::size_t f = 1; f < size; ++f) {
-    cum[f] = add(cum[f - 1], ways[f]);
-  }
-  return ok;
-}
-
 }  // namespace
 
 // Everything the fused path shares across score() calls.  All mutable
@@ -130,6 +70,7 @@ struct MappingPipeline::Fusion {
   bool ready = false;
   bool prefix_ok = false;
   std::vector<Int> sig;  ///< n, extents, dependence matrix -- resets state
+  Int stride = 1;  ///< objective_level_stride of the anchored index set
   std::vector<std::uint64_t> cum;
   std::unordered_map<mapping::ConflictKey, Entry, mapping::ConflictKeyHash>
       entries;
@@ -162,7 +103,23 @@ struct MappingPipeline::Fusion {
     if (!ready || fresh != sig) {
       sig = std::move(fresh);
       entries.clear();
-      prefix_ok = build_level_prefix(set, resolved_max, cum);
+      // cum[k] = the candidates of levels 1..k * stride (every level that
+      // is not a multiple of the stride is empty), summed from row 0 of
+      // the suffix counts -- never by enumeration, which is what lets a
+      // schedule-orbit hit reproduce the cold search's candidates_tested
+      // without re-walking the skipped levels.  A count that overflows
+      // uint64, or a bound the table does not fit, stands the cache down.
+      SuffixCounts counts(set);
+      stride = objective_level_stride(set);
+      prefix_ok = counts.grow(resolved_max);
+      const auto top = static_cast<std::size_t>(resolved_max / stride);
+      cum.assign(prefix_ok ? top + 1 : 0, 0);
+      for (std::size_t k = 1; prefix_ok && k <= top; ++k) {
+        const std::uint64_t level =
+            counts.at(0, static_cast<Int>(k) * stride);
+        prefix_ok = !__builtin_add_overflow(cum[k - 1], level, &cum[k]) &&
+                    cum[k] != SuffixCounts::kSaturated;
+      }
       ready = true;
     }
     return prefix_ok;
@@ -222,11 +179,9 @@ struct MappingPipeline::Fusion {
 
   /// Candidates the serial sweep visits at levels 1..f-1 / 1..f.  Callers
   /// guarantee prefix_ok and the argument within the built range.
-  std::uint64_t below(Int f) const {
-    return cum[static_cast<std::size_t>(f) - 1];
-  }
+  std::uint64_t below(Int f) const { return through(f - 1); }
   std::uint64_t through(Int f) const {
-    return cum[static_cast<std::size_t>(f)];
+    return cum[static_cast<std::size_t>(f / stride)];
   }
 };
 

@@ -8,6 +8,7 @@
 #include "mapping/enum_oracle.hpp"
 #include "exact/checked.hpp"
 #include "mapping/theorems.hpp"
+#include "obs/obs.hpp"
 #include "search/enumerate.hpp"
 #include "search/fixed_space.hpp"
 #include "search/verdict_cache.hpp"
@@ -42,6 +43,16 @@ mapping::ConflictVerdict run_conflict_oracle(ConflictOracle oracle,
   }
 }
 
+Int default_max_objective(const model::IndexSet& set) {
+  Int mu_max = 0;
+  Int mu_sum = 0;
+  for (std::size_t i = 0; i < set.dimension(); ++i) {
+    mu_max = std::max(mu_max, set.mu(i));
+    mu_sum = exact::add_checked(mu_sum, set.mu(i));
+  }
+  return exact::mul_checked(4, exact::mul_checked(mu_max + 1, mu_sum));
+}
+
 bool enumerate_schedules_at(const model::IndexSet& set, Int f,
                             const std::function<bool(const VecI&)>& visit) {
   return for_each_schedule_at(set, f, visit);
@@ -59,17 +70,9 @@ SearchResult procedure_5_1(const model::UniformDependenceAlgorithm& algo,
     throw std::invalid_argument("procedure_5_1: k must not exceed n");
   }
 
-  Int max_objective = options.max_objective;
-  if (max_objective <= 0) {
-    Int mu_max = 0;
-    Int mu_sum = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      mu_max = std::max(mu_max, set.mu(i));
-      mu_sum = exact::add_checked(mu_sum, set.mu(i));
-    }
-    max_objective =
-        exact::mul_checked(4, exact::mul_checked(mu_max + 1, mu_sum));
-  }
+  const Int max_objective = options.max_objective > 0
+                                ? options.max_objective
+                                : default_max_objective(set);
 
   // The fixed-S context hoists every per-candidate invariant of S out of
   // the sweep (echelon rank replay, Prop 3.2 cofactors, HNF warm start);
@@ -103,12 +106,17 @@ SearchResult procedure_5_1(const model::UniformDependenceAlgorithm& algo,
   // multiple of gcd_i mu_i.
   const Int stride = objective_level_stride(set);
 
+  // Step 5(1) is applied to whole subtrees first: the cone walk never
+  // visits a subtree in which no completion satisfies Pi D > 0 and counts
+  // its candidates in closed form instead, so candidates_tested matches
+  // the plain walk exactly.
+  DependenceConeWalk walk(set, d);
   SearchResult result;
   for (Int f = std::max<Int>(options.min_objective, 1); f <= max_objective;
        ++f) {
     if (f % stride != 0) continue;
     bool found_at_level = false;
-    for_each_schedule_at(set, f, [&](const VecI& pi) {
+    walk.for_each_at(f, [&](const VecI& pi) {
       ++result.candidates_tested;
       // (1) Pi D > 0.
       if (!schedule::respects_dependences(pi, d)) return true;
@@ -151,6 +159,9 @@ SearchResult procedure_5_1(const model::UniformDependenceAlgorithm& algo,
     });
     if (found_at_level) break;
   }
+  SYSMAP_COUNT("search.procedure51.leaves_visited", result.candidates_tested);
+  SYSMAP_COUNT("search.procedure51.cone_skipped", walk.skipped());
+  result.candidates_tested += walk.skipped();
   if (cache != nullptr) {
     const VerdictCache::Stats s = cache->stats();
     result.cache_hits = s.hits - cache_hits0;

@@ -9,6 +9,13 @@
 //   (3) T conflict-free -- by the exact theorem for k >= n-3, Theorem 4.5 /
 //       exact enumeration otherwise (see decide_conflict_free)
 //   (4) optionally S D = P K with column sums <= Pi d_i (fixed target array)
+//
+// The serial search walks each level with search::DependenceConeWalk
+// (search/enumerate.hpp), which applies condition (1) to whole subtrees:
+// a subtree in which no completion satisfies Pi D > 0 is never visited,
+// and its candidates are added to candidates_tested in closed form.  The
+// statistics therefore equal those of a walk over every candidate, which
+// the streaming driver (search/parallel_search.hpp) still performs.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +44,7 @@ struct SearchOptions {
   /// Start the scan at this objective value (used to resume above an ILP
   /// lower bound).
   Int min_objective = 0;
-  /// Abort when f exceeds this bound; 0 selects a heuristic default of
-  /// 4 * (max mu + 1) * sum(mu).
+  /// Abort when f exceeds this bound; 0 selects default_max_objective.
   Int max_objective = 0;
   ConflictOracle oracle = ConflictOracle::kExact;
   /// Require routability on this target array (condition 4); nullopt
@@ -97,6 +103,10 @@ struct SearchResult {
   /// steal counters, NOT part of the bit-identical result contract.
   bool serial_prefix_resolved = false;
 };
+
+/// The objective bound a search applies when SearchOptions::max_objective
+/// is 0: the heuristic 4 * (max mu + 1) * sum(mu).
+Int default_max_objective(const model::IndexSet& set);
 
 /// Runs Procedure 5.1 for algorithm (J, D) and space mapping S.
 SearchResult procedure_5_1(const model::UniformDependenceAlgorithm& algo,

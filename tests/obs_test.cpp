@@ -12,7 +12,9 @@
 #include <thread>
 #include <vector>
 
+#include "model/gallery.hpp"
 #include "opt/ilp.hpp"
+#include "search/procedure51.hpp"
 #include "support/flat_image_set.hpp"
 #include "support/thread_pool.hpp"
 
@@ -200,6 +202,47 @@ TEST(ObsTest, ImageCountCountersRecordOncePerCall) {
   EXPECT_EQ(fallbacks.total, 1u);
   EXPECT_EQ(fallbacks.events, 1u);
   EXPECT_EQ(find_metric(all, "support.image_count.packed_walks").total, 0u);
+}
+
+TEST(ObsTest, ConeWalkCountersRecordOncePerCall) {
+  if (!obs::kEnabled) GTEST_SKIP() << "SYSMAP_OBS=OFF build";
+  // D = I (matmul, mu = 4), S = [1 1 -1]: the walk sees only the positive
+  // orthant.  Levels 4k, k = 1..5, hold 4k^2 + 2 candidates each, of which
+  // C(k-1, 2) are positive; at level 24 the winner (1, 2, 3) is the 31st
+  // candidate (after the 24 with pi_0 = 0 and 6 with pi_0 = 1, |pi_1| <= 1)
+  // and the 2nd positive one.
+  obs::reset();
+  const search::SearchResult hit =
+      search::procedure_5_1(model::matmul(4), MatI{{1, 1, -1}});
+  ASSERT_TRUE(hit.found);
+  ASSERT_EQ(hit.pi, (VecI{1, 2, 3}));
+  ASSERT_EQ(hit.candidates_tested, 261u);  // 230 below level 24, plus 31
+  std::vector<obs::Metric> all = obs::snapshot();
+  obs::Metric visited = find_metric(all, "search.procedure51.leaves_visited");
+  obs::Metric skipped = find_metric(all, "search.procedure51.cone_skipped");
+  EXPECT_EQ(visited.total, 12u);  // 0 + 0 + 1 + 3 + 6 positive, then 2
+  EXPECT_EQ(visited.events, 1u);  // one record per call, not per candidate
+  EXPECT_EQ(skipped.total, 249u);
+  EXPECT_EQ(skipped.events, 1u);
+  // An empty cone: columns e1 and -e1 cannot both have Pi d > 0.  (An
+  // algorithm rejects a zero column, the other shape of an empty cone.)
+  // Every candidate of levels 1..6 (4f each for n = 2, mu = 1) is cut.
+  const model::UniformDependenceAlgorithm empty(
+      "empty cone", model::IndexSet(VecI{1, 1}), MatI{{1, -1}, {0, 0}});
+  search::SearchOptions options;
+  options.max_objective = 6;
+  obs::reset();
+  const search::SearchResult none =
+      search::procedure_5_1(empty, MatI{{0, 1}}, options);
+  EXPECT_FALSE(none.found);
+  EXPECT_EQ(none.candidates_tested, 84u);
+  all = obs::snapshot();
+  visited = find_metric(all, "search.procedure51.leaves_visited");
+  skipped = find_metric(all, "search.procedure51.cone_skipped");
+  EXPECT_EQ(visited.total, 0u);
+  EXPECT_EQ(visited.events, 1u);
+  EXPECT_EQ(skipped.total, 84u);
+  EXPECT_EQ(skipped.events, 1u);
 }
 
 TEST(ObsTest, TableFormatsEveryMetric) {

@@ -346,7 +346,8 @@ bool is_call_head(const FileModel& m, std::size_t ci) {
 bool GuardsPass::kernel_surface(const std::string& path) {
   static const char* const needles[] = {
       "src/lattice",          "src/mapping",          "src/exact",
-      "src/search/fixed_space", "src/search/space_optimal",
+      "src/search/enumerate", "src/search/fixed_space",
+      "src/search/space_optimal",
       "src/support/flat_image_set", "src/support/packed_coord",
       "src/systolic/simulator", "src/systolic/engine",  "src/linalg/batch",
       "lint_fixtures"};
