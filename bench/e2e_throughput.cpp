@@ -119,8 +119,6 @@ void emit_json(std::ostream& json, const Case& c, Mode mode, const Timing& t,
        << ",\"spaces_tested\":" << t.result.spaces_tested
        << ",\"candidates_per_sec\":" << sps
        << ",\"truncated_spaces\":" << t.result.truncated_spaces
-       << ",\"serial_cutoff\":"
-       << search::SearchOptions{}.streaming_serial_cutoff
        << ",\"found\":" << (t.result.found ? "true" : "false")
        << ",\"objective\":" << (t.result.found ? t.result.objective : Int{0})
        << ",\"cost\":"

@@ -1,24 +1,20 @@
-// SEARCH-THROUGHPUT -- ablation of the Procedure 5.1 execution engines.
+// SEARCH-THROUGHPUT -- ablation of the Procedure 5.1 search paths.
 //
-// Runs Procedure 5.1 END TO END (enumeration, dependence screen, rank
-// test, conflict oracle, first-hit-optimal abort) for each gallery
-// workload and oracle, across four modes:
-//   seed            from-scratch serial scan (no FixedSpaceContext)
-//   ctx             serial scan + fixed-S context (the PR 2 engine)
-//   sched           streaming work-stealing pipeline, chunk 1 (scheduler
-//                   only: chunks of one candidate never batch)
-//   pipeline        streaming pipeline, chunk 32 (batched cofactor panels)
-//   pipeline+cache  pipeline + shared canonical-form verdict cache
+// Runs Procedure 5.1 END TO END (cone walk, dependence screen, rank test,
+// conflict oracle, first-hit-optimal abort) for each gallery workload and
+// oracle, across three modes:
+//   seed       from-scratch scan (no FixedSpaceContext)
+//   ctx        scan + fixed-S context (the default path)
+//   ctx_cache  ctx + canonical-form verdict cache
 // All modes are bit-identical by construction -- this harness asserts pi,
 // objective, verdict rule and candidate statistics agree before reporting
 // any number -- and a final multi-S sweep shares one cache across scaled
 // and permuted space parts to demonstrate (and assert) cross-search hits.
 //
 // Output: a human-readable table on stdout and JSON lines (one object per
-// case/oracle/mode with threads, cache and steal counters, plus speedup
-// summary objects) written to $SYSMAP_BENCH_JSON or BENCH_search.json.
-// Set SYSMAP_BENCH_SMOKE=1 for a single-rep quick pass (CI smoke);
-// pass --threads N to size the streaming pool (default 4).
+// case/oracle/mode with cache counters, plus speedup summary objects)
+// written to $SYSMAP_BENCH_JSON or BENCH_search.json.  Set
+// SYSMAP_BENCH_SMOKE=1 for a single-rep quick pass (CI smoke).
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -27,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "search/parallel_search.hpp"
 #include "search/verdict_cache.hpp"
 #include "sysmap.hpp"
 
@@ -59,7 +54,7 @@ struct Timing {
   search::SearchResult result;
 };
 
-enum class Mode { kSeed, kCtx, kSched, kPipeline, kPipelineCache };
+enum class Mode { kSeed, kCtx, kCtxCache };
 
 const char* mode_name(Mode m) {
   switch (m) {
@@ -67,40 +62,22 @@ const char* mode_name(Mode m) {
       return "seed";
     case Mode::kCtx:
       return "ctx";
-    case Mode::kSched:
-      return "sched";
-    case Mode::kPipeline:
-      return "pipeline";
-    case Mode::kPipelineCache:
-      return "pipeline_cache";
+    case Mode::kCtxCache:
+      return "ctx_cache";
   }
   return "?";
 }
 
 Timing run_mode(const Case& c, search::ConflictOracle oracle, Mode mode,
-                int reps, std::size_t threads,
-                search::VerdictCache* cache = nullptr) {
+                int reps, search::VerdictCache* cache = nullptr) {
   search::SearchOptions opts;
   opts.oracle = oracle;
   opts.use_fixed_space_context = mode != Mode::kSeed;
-  if (mode == Mode::kPipelineCache) opts.verdict_cache = cache;
+  if (mode == Mode::kCtxCache) opts.verdict_cache = cache;
   Timing best;
   for (int rep = 0; rep < reps; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
-    search::SearchResult r;
-    switch (mode) {
-      case Mode::kSeed:
-      case Mode::kCtx:
-        r = search::procedure_5_1(c.algo, c.space, opts);
-        break;
-      case Mode::kSched:
-        r = search::procedure_5_1_parallel(c.algo, c.space, opts, threads, 1);
-        break;
-      case Mode::kPipeline:
-      case Mode::kPipelineCache:
-        r = search::procedure_5_1_parallel(c.algo, c.space, opts, threads, 32);
-        break;
-    }
+    search::SearchResult r = search::procedure_5_1(c.algo, c.space, opts);
     auto t1 = std::chrono::steady_clock::now();
     double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (rep == 0 || ms < best.ms) {
@@ -120,8 +97,7 @@ bool identical(const search::SearchResult& a, const search::SearchResult& b) {
 }
 
 void emit_json(std::ostream& json, const Case& c,
-               search::ConflictOracle oracle, Mode mode, const Timing& t,
-               std::size_t threads) {
+               search::ConflictOracle oracle, Mode mode, const Timing& t) {
   double cps =
       t.ms > 0
           ? 1000.0 * static_cast<double>(t.result.candidates_tested) / t.ms
@@ -131,49 +107,35 @@ void emit_json(std::ostream& json, const Case& c,
        << ",\"k\":" << (c.space.rows() + 1) << ",\"oracle\":\""
        << oracle_name(oracle) << "\""
        << ",\"mode\":\"" << mode_name(mode) << "\""
-       << ",\"threads\":" << (mode == Mode::kSeed || mode == Mode::kCtx
-                                  ? 1
-                                  : threads)
        << ",\"ms\":" << t.ms
        << ",\"candidates_tested\":" << t.result.candidates_tested
        << ",\"passed_dependence\":" << t.result.candidates_passed_dependence
        << ",\"candidates_per_sec\":" << cps
        << ",\"cache_hits\":" << t.result.cache_hits
        << ",\"cache_misses\":" << t.result.cache_misses
-       << ",\"chunks_stolen\":" << t.result.chunks_stolen
-       << ",\"serial_prefix_resolved\":"
-       << (t.result.serial_prefix_resolved ? "true" : "false")
        << ",\"found\":" << (t.result.found ? "true" : "false")
        << ",\"objective\":" << t.result.objective << "}\n";
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** /*argv*/) {
   const bool smoke = std::getenv("SYSMAP_BENCH_SMOKE") != nullptr;
-  std::size_t threads = 4;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (threads == 0) threads = 1;
-    } else {
-      std::cerr << "usage: search_throughput [--threads N]\n";
-      return 2;
-    }
+  if (argc > 1) {
+    std::cerr << "usage: search_throughput\n";
+    return 2;
   }
   const char* path = std::getenv("SYSMAP_BENCH_JSON");
   std::ofstream json(path ? path : "BENCH_search.json");
 
-  // k = n-1 cases hit the Prop 3.2 closed form (and with it the batched
-  // cofactor panels); the unit-cube cases keep k <= n-2 so the HNF warm
-  // start, the exact ladder and the kernel-basis cache keys are
-  // exercised.  The larger-mu cases push the first feasible conflict
-  // vector to higher objective levels, so many more candidates reach the
-  // oracle before the optimum -- the regime every engine here targets.
-  // The mu=4 cases are deliberately tiny: there the sweep is
-  // enumeration-bound and the engines can at best break even (Amdahl),
-  // which the table reports honestly.
+  // k = n-1 cases hit the Prop 3.2 closed form; the unit-cube cases keep
+  // k <= n-2 so the HNF warm start, the exact ladder and the kernel-basis
+  // cache keys are exercised.  The larger-mu cases push the first
+  // feasible conflict vector to higher objective levels, so many more
+  // candidates reach the oracle before the optimum -- the regime every
+  // path here targets.  The mu=4 cases are deliberately tiny: there the
+  // sweep is enumeration-bound and the paths can at best break even
+  // (Amdahl), which the table reports honestly.
   std::vector<Case> cases;
   cases.push_back({"matmul_mu4", model::matmul(4), MatI{{1, 1, -1}}, true});
   cases.push_back({"transitive_closure_mu4", model::transitive_closure(4),
@@ -201,10 +163,9 @@ int main(int argc, char** argv) {
       search::ConflictOracle::kBruteForce,
   };
 
-  std::cout << "SEARCH-THROUGHPUT: end-to-end procedure_5_1 engines ("
-            << threads << " pipeline threads)\n";
+  std::cout << "SEARCH-THROUGHPUT: end-to-end procedure_5_1 search paths\n";
   std::cout << "case                      oracle          cands     seed_ms  "
-               "ctx_ms   pipe_ms  cache_ms  pipe/ctx  hits/misses\n";
+               "ctx_ms   cache_ms  ctx/cache  hits/misses\n";
 
   bool all_parity_ok = true;
   for (const Case& c : cases) {
@@ -216,21 +177,16 @@ int main(int argc, char** argv) {
       if (!smoke) {
         // Calibrate on one ctx run so every mode repeats long enough to
         // time stably, then keep the count identical across modes.
-        Timing probe = run_mode(c, oracle, Mode::kCtx, 1, threads);
+        Timing probe = run_mode(c, oracle, Mode::kCtx, 1);
         reps = probe.ms >= 50
                    ? 3
                    : static_cast<int>(50 / (probe.ms + 0.01)) + 3;
       }
-      Timing seed = run_mode(c, oracle, Mode::kSeed, reps, threads);
-      Timing ctx = run_mode(c, oracle, Mode::kCtx, reps, threads);
-      Timing sched = run_mode(c, oracle, Mode::kSched, reps, threads);
-      Timing pipe = run_mode(c, oracle, Mode::kPipeline, reps, threads);
+      Timing seed = run_mode(c, oracle, Mode::kSeed, reps);
+      Timing ctx = run_mode(c, oracle, Mode::kCtx, reps);
       search::VerdictCache cache;
-      Timing cached =
-          run_mode(c, oracle, Mode::kPipelineCache, reps, threads, &cache);
+      Timing cached = run_mode(c, oracle, Mode::kCtxCache, reps, &cache);
       bool ok = identical(seed.result, ctx.result) &&
-                identical(seed.result, sched.result) &&
-                identical(seed.result, pipe.result) &&
                 identical(seed.result, cached.result);
       if (!ok) {
         std::cerr << "PARITY VIOLATION in " << c.name << "/"
@@ -238,7 +194,6 @@ int main(int argc, char** argv) {
         all_parity_ok = false;
         continue;
       }
-      double pipe_speedup = pipe.ms > 0 ? ctx.ms / pipe.ms : 0;
       double cache_speedup = cached.ms > 0 ? ctx.ms / cached.ms : 0;
 
       std::ostringstream row;
@@ -250,23 +205,19 @@ int main(int argc, char** argv) {
       for (std::size_t p = oracle_name(oracle).size(); p < 16; ++p) row << ' ';
       row << seed.result.candidates_tested << "/"
           << seed.result.candidates_passed_dependence << "  " << seed.ms
-          << "  " << ctx.ms << "  " << pipe.ms << "  " << cached.ms << "  ";
+          << "  " << ctx.ms << "  " << cached.ms << "  ";
       row.precision(2);
-      row << pipe_speedup << "x  " << cached.result.cache_hits << "/"
+      row << cache_speedup << "x  " << cached.result.cache_hits << "/"
           << cached.result.cache_misses;
       std::cout << row.str() << "\n";
 
-      emit_json(json, c, oracle, Mode::kSeed, seed, threads);
-      emit_json(json, c, oracle, Mode::kCtx, ctx, threads);
-      emit_json(json, c, oracle, Mode::kSched, sched, threads);
-      emit_json(json, c, oracle, Mode::kPipeline, pipe, threads);
-      emit_json(json, c, oracle, Mode::kPipelineCache, cached, threads);
+      emit_json(json, c, oracle, Mode::kSeed, seed);
+      emit_json(json, c, oracle, Mode::kCtx, ctx);
+      emit_json(json, c, oracle, Mode::kCtxCache, cached);
       json << "{\"case\":\"" << c.name << "\",\"oracle\":\""
-           << oracle_name(oracle) << "\",\"threads\":" << threads
+           << oracle_name(oracle) << "\""
            << ",\"ctx_vs_seed\":" << (ctx.ms > 0 ? seed.ms / ctx.ms : 0)
-           << ",\"sched_vs_ctx\":" << (sched.ms > 0 ? ctx.ms / sched.ms : 0)
-           << ",\"pipeline_vs_ctx\":" << pipe_speedup
-           << ",\"pipeline_cache_vs_ctx\":" << cache_speedup << "}\n";
+           << ",\"ctx_cache_vs_ctx\":" << cache_speedup << "}\n";
       json.flush();
     }
   }
@@ -291,8 +242,7 @@ int main(int argc, char** argv) {
     auto t0 = std::chrono::steady_clock::now();
     bool sweep_parity = true;
     for (const MatI& space : spaces) {
-      search::SearchResult r =
-          search::procedure_5_1_parallel(algo, space, opts, threads, 32);
+      search::SearchResult r = search::procedure_5_1(algo, space, opts);
       search::SearchResult plain = search::procedure_5_1(algo, space, {});
       sweep_parity = sweep_parity && identical(plain, r);
       sweep_hits += r.cache_hits;
@@ -304,7 +254,7 @@ int main(int argc, char** argv) {
               << " hits / " << sweep_misses << " misses over "
               << spaces.size() << " spaces\n";
     json << "{\"sweep\":\"multi_s\",\"spaces\":" << spaces.size()
-         << ",\"threads\":" << threads << ",\"ms\":" << ms
+         << ",\"ms\":" << ms
          << ",\"cache_hits\":" << sweep_hits
          << ",\"cache_misses\":" << sweep_misses
          << ",\"parity\":" << (sweep_parity ? "true" : "false") << "}\n";

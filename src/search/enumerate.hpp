@@ -2,21 +2,19 @@
 // sum |pi_i| mu_i == f, in deterministic lexicographic order (coordinate 0
 // outermost; magnitude 0 first, then +a before -a).
 //
-// Three walks share that order:
+// Two walks share that order:
 //   - for_each_schedule_at, the plain recursive walk.  The visitor is a
 //     template parameter so the per-candidate dispatch inlines into the
-//     search drivers' hot loops; the std::function overload in
-//     procedure51.hpp (enumerate_schedules_at) delegates here.
+//     callers' hot loops; the std::function overload in procedure51.hpp
+//     (enumerate_schedules_at) delegates here.
 //   - DependenceConeWalk, the same recursion with a prune hook: it cuts
 //     every subtree in which no completion can satisfy Pi D > 0 (Step
 //     5(1)) and counts the cut candidates in closed form from
-//     SuffixCounts.  Serial procedure_5_1 walks this one.
-//   - ScheduleEnumerator, the plain walk unrolled into a resumable frame
-//     stack for the streaming parallel feed.
-// The drivers must agree candidate-for-candidate on every candidate that
+//     SuffixCounts.  procedure_5_1 walks this one.
+// The walks must agree candidate-for-candidate on every candidate that
 // passes Pi D > 0, and on the number of candidates once cut subtrees are
 // counted -- the bit-identical statistics (candidates_tested /
-// candidates_passed_dependence) of every search path depend on it.
+// candidates_passed_dependence) of procedure_5_1 depend on it.
 #pragma once
 
 #include <cstddef>
@@ -293,155 +291,6 @@ class DependenceConeWalk {
   bool active_ = false;
   bool grown_ = false;  ///< counts_ tabulated through level_
   std::uint64_t skipped_ = 0;
-};
-
-/// Resumable single-level enumerator: yields the EXACT candidate sequence
-/// of for_each_schedule_at(set, f, ...) one Pi per next() call, with the
-/// recursion of detail::enumerate_rec unrolled into an explicit frame
-/// stack so a caller can pull candidates lazily (the streaming parallel
-/// feed draws chunk-sized batches under a lock and must be able to pause
-/// between draws).  Order parity with the recursive template is part of
-/// the determinism contract and is asserted by
-/// tests/streaming_search_test.cpp across random index sets and levels.
-class ScheduleEnumerator {
- public:
-  ScheduleEnumerator(const model::IndexSet& set, Int f)
-      : set_(&set),
-        n_(set.dimension()),
-        f_(f),
-        pi_(set.dimension(), 0),
-        frames_(set.dimension()) {}
-
-  /// Copies the next candidate into `out` and returns true; false once the
-  /// level is exhausted (out is left unspecified).
-  bool next(VecI& out) {
-    if (done_) return false;
-    bool produced = false;
-    if (!started_) {
-      started_ = true;
-      if (f_ >= 0) {
-        if (n_ == 0) {
-          // enumerate_rec visits the empty vector once iff f == 0.
-          produced = f_ == 0;
-          done_ = true;
-          if (produced) out = pi_;
-          return produced;
-        }
-        produced = advance(/*fresh=*/true);
-      }
-    } else {
-      produced = advance(/*fresh=*/false);
-    }
-    if (!produced) {
-      done_ = true;
-      return false;
-    }
-    out = pi_;
-    return true;
-  }
-
-  bool exhausted() const { return done_; }
-
- private:
-  // One frame per assigned coordinate.  `remaining` is the budget BEFORE
-  // this coordinate's contribution; `a`/`negative` encode the current
-  // magnitude and sign exactly as enumerate_rec orders them (0 first, then
-  // +a before -a, magnitudes increasing).
-  struct Frame {
-    Int remaining = 0;
-    Int a = 0;
-    bool negative = false;
-  };
-
-  // One combined descend/backtrack walk over the recursion tree, stopping
-  // at the next emission.  `fresh` starts at the root; otherwise the walk
-  // resumes by advancing past the candidate emitted last time.
-  // SYSMAP_RAW_FASTPATH(bounded: a <= remaining / mu keeps a * mu and the
-  // new budget within [0, remaining]; a + 1 follows a walk over magnitude
-  // a, so it cannot pass INT64_MAX; negated magnitudes are nonnegative)
-  bool advance(bool fresh) {
-    bool descending = fresh;
-    std::size_t i = fresh ? 0 : n_;
-    Int remaining = fresh ? f_ : 0;
-    for (;;) {
-      if (descending) {
-        if (i == n_) {
-          // Reachable only when the trailing coordinate is weightless
-          // (pinned to 0): emit iff the budget landed exactly on f.
-          if (remaining == 0) return true;
-          descending = false;
-          continue;
-        }
-        const Int mu = set_->mu(i);
-        Frame& fr = frames_[i];
-        fr.remaining = remaining;
-        fr.a = 0;
-        fr.negative = false;
-        pi_[i] = 0;
-        if (mu <= 0) {
-          ++i;  // weightless coordinate pinned to 0 (see enumerate_rec)
-          continue;
-        }
-        if (i + 1 == n_) {
-          if (remaining % mu != 0) {
-            descending = false;  // empty subtree: resume one level up
-            continue;
-          }
-          const Int a = remaining / mu;
-          fr.a = a;
-          pi_[i] = a;
-          return true;
-        }
-        ++i;  // first value of a middle coordinate is 0; budget unchanged
-      } else {
-        if (i == 0) return false;  // root exhausted
-        --i;
-        const Int mu = set_->mu(i);
-        Frame& fr = frames_[i];
-        if (mu <= 0) {
-          pi_[i] = 0;  // pinned: single value, keep popping
-          continue;
-        }
-        if (i + 1 == n_) {
-          if (!fr.negative && fr.a > 0) {
-            fr.negative = true;
-            pi_[i] = -fr.a;
-            return true;
-          }
-          pi_[i] = 0;
-          continue;
-        }
-        Int next_a = 0;
-        bool next_negative = false;
-        if (fr.a == 0) {
-          next_a = 1;
-        } else if (!fr.negative) {
-          next_a = fr.a;
-          next_negative = true;
-        } else {
-          next_a = fr.a + 1;
-        }
-        if (next_a > fr.remaining / mu) {
-          pi_[i] = 0;  // magnitudes exhausted, keep popping
-          continue;
-        }
-        fr.a = next_a;
-        fr.negative = next_negative;
-        pi_[i] = next_negative ? -next_a : next_a;
-        remaining = fr.remaining - next_a * mu;
-        ++i;
-        descending = true;
-      }
-    }
-  }
-
-  const model::IndexSet* set_;
-  std::size_t n_;
-  Int f_;
-  VecI pi_;
-  std::vector<Frame> frames_;
-  bool started_ = false;
-  bool done_ = false;
 };
 
 }  // namespace sysmap::search

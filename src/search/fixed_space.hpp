@@ -17,16 +17,15 @@
 // All per-candidate arithmetic runs on the CheckedInt machine-word fast
 // path with the usual exact::with_fallback BigInt restart, so verdicts
 // (status, rule string AND witness) are bit-identical to the from-scratch
-// seed path -- asserted by tests/fixed_space_test.cpp across the gallery,
-// all oracles and several thread counts.
+// seed path -- asserted by tests/fixed_space_test.cpp across the gallery
+// and all oracles.
 //
 // The context is immutable after construction; all query methods are const
-// and safe to share across the parallel search's pool workers.
+// and safe to call from several threads at once.
 #pragma once
 
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "linalg/types.hpp"
 #include "mapping/conflict.hpp"
@@ -68,31 +67,6 @@ class FixedSpaceContext {
   std::optional<mapping::ConflictVerdict> screen(
       ConflictOracle oracle, const VecI& pi,
       VerdictCache* cache = nullptr) const;
-
-  /// Batched Step 5(2)+(3) for k = n-1: equivalent to screen(oracle, pi,
-  /// cache) per element of `pis` (same order, same verdicts bit for bit)
-  /// but evaluated as ONE cofactor matrix-matrix product
-  /// C . [pi_1 ... pi_B] (linalg::gemm_panel_i64, whole-panel BigInt
-  /// restart on overflow) with the Theorem 2.2 tail run per nonzero
-  /// column.  Returns false -- leaving `out` untouched -- when batching
-  /// does not apply (k != n-1, brute-force oracle, or no raw cofactor);
-  /// callers then fall back to the scalar screen.
-  bool screen_batch(ConflictOracle oracle, const std::vector<VecI>& pis,
-                    std::vector<std::optional<mapping::ConflictVerdict>>& out,
-                    VerdictCache* cache = nullptr) const;
-
-  /// Pointer/count flavor of screen_batch for callers that recycle their
-  /// candidate buffers (the streaming driver keeps per-worker chunk
-  /// storage alive across draws, so `count` may be smaller than the
-  /// buffer); identical semantics otherwise.
-  bool screen_batch(ConflictOracle oracle, const VecI* pis, std::size_t count,
-                    std::vector<std::optional<mapping::ConflictVerdict>>& out,
-                    VerdictCache* cache = nullptr) const;
-
-  /// True when screen_batch would actually batch for `oracle` (k = n-1,
-  /// raw cofactor available, non-brute oracle) -- lets callers skip the
-  /// panel packing when the answer is a constant false for this context.
-  bool supports_batch(ConflictOracle oracle) const;
 
   /// The per-candidate accept screen: nullopt when the candidate is NOT
   /// conflict-free under `oracle` (no rule string or witness is

@@ -1,16 +1,17 @@
-// Persistent fork-join worker pool for the parallel search driver.
+// Persistent fork-join worker pool for the parallel sweeps.
 //
-// The parallel Procedure 5.1 runs one fork-join job per objective level,
-// and real searches scan hundreds of levels before the first hit.
-// Spawning std::thread per level puts thread creation and teardown on the
-// critical path of every level; this pool pays that cost once per search
-// and reuses the same OS threads for every level's job.
+// The deterministic space sweeps (search/space_optimal.cpp) and the
+// systolic engine's parallel passes (systolic/engine.cpp) run one or more
+// fork-join jobs per call.  Spawning std::thread per job puts thread
+// creation and teardown on the critical path of every pass; this pool
+// pays that cost once per call and reuses the same OS threads for every
+// job.
 //
 // Synchronization is a generation counter: run() publishes the job under
 // the mutex, bumps the generation, and wakes the workers; each worker runs
 // the job once per generation and the last finisher wakes run().  The
 // first exception thrown by any worker is captured and rethrown from
-// run() after the join, so failures behave like the per-level-thread code
+// run() after the join, so failures behave like the per-job-thread code
 // they replace.
 #pragma once
 
@@ -61,7 +62,7 @@ class ThreadPool {
   //       happens-after every worker's job body for that generation
   //       (mutex release/acquire pairs carry the ordering).  This is the
   //       fence callers rely on when workers write into caller-owned
-  //       per-worker slots (see parallel_search.cpp): those writes need no
+  //       per-worker slots (see systolic/engine.cpp): those writes need no
   //       atomics because the final decrement of active_ sequences them
   //       before run() returns.
   //   I4  error_ holds the FIRST exception of the current generation;

@@ -2,10 +2,8 @@
 // every candidate that passes Pi D > 0, in the plain walk's order, and
 // account for every candidate it skips, so the serial search reports
 // exactly the statistics of a walk over every candidate.  Differential
-// against the unpruned for_each_schedule_at walk, a hand-rolled unpruned
-// Procedure 5.1, and the streaming driver (which still walks every
-// candidate).  Runs under the TSan CI job (procedure_5_1_parallel at 4
-// threads).
+// against the unpruned for_each_schedule_at walk and a hand-rolled
+// unpruned Procedure 5.1.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -22,7 +20,6 @@
 #include "model/gallery.hpp"
 #include "schedule/linear_schedule.hpp"
 #include "search/enumerate.hpp"
-#include "search/parallel_search.hpp"
 #include "search/procedure51.hpp"
 
 namespace sysmap::search {
@@ -299,19 +296,13 @@ TEST(ConeWalk, Procedure51MatchesUnprunedDrivers) {
     for (ConflictOracle oracle :
          {ConflictOracle::kExact, ConflictOracle::kPaperTheorems,
           ConflictOracle::kBruteForce}) {
-      for (bool use_context : {true, false}) {
-        opts.oracle = oracle;
-        opts.use_fixed_space_context = use_context;
-        const SearchResult serial = procedure_5_1(algo, space, opts);
-        for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-          expect_same(serial,
-                      procedure_5_1_parallel(algo, space, opts, threads),
-                      label + " oracle " +
-                          std::to_string(static_cast<int>(oracle)) +
-                          (use_context ? " ctx" : " scratch") + " threads " +
-                          std::to_string(threads));
-        }
-      }
+      opts.oracle = oracle;
+      opts.use_fixed_space_context = true;
+      const SearchResult ctx = procedure_5_1(algo, space, opts);
+      opts.use_fixed_space_context = false;
+      expect_same(procedure_5_1(algo, space, opts), ctx,
+                  label + " oracle " +
+                      std::to_string(static_cast<int>(oracle)));
     }
   }
 }
@@ -323,7 +314,8 @@ TEST(ConeWalk, GalleryMatchesStreamingDriver) {
                {model::convolution_2d(3, 3, 2, 2), MatI{{1, 0, 0, 0}}},
                {model::unit_cube_algorithm(4, 2), MatI(0, 4)}};
   for (const auto& [algo, space] : cases) {
-    expect_same(procedure_5_1_parallel(algo, space, {}, 4),
+    expect_same(reference_scan(algo, space,
+                               default_max_objective(algo.index_set())),
                 procedure_5_1(algo, space), algo.name());
   }
 }
@@ -369,8 +361,6 @@ TEST(ConeWalk, LevelAboveTheTableCapMatchesReference) {
   EXPECT_EQ(result.pi, (VecI{1, 1}));
   expect_same(reference_scan(algo, space, result.objective), result,
               "capped");
-  expect_same(procedure_5_1_parallel(algo, space, {}, 4), result,
-              "capped streaming");
 }
 
 TEST(ConeWalk, StrideCompressedTableMatchesReference) {

@@ -1,8 +1,7 @@
 // Tests for the fixed-S incremental search engine: warm-started HNF,
 // Proposition 3.2 cofactor closed form, echelon rank replay, golden
 // candidate counts for the schedule enumeration, and bit-identical
-// FixedSpaceContext-vs-seed parity across the gallery, all oracles and
-// several thread counts.
+// FixedSpaceContext-vs-seed parity across the gallery and all oracles.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,7 +15,6 @@
 #include "mapping/verdicts_impl.hpp"
 #include "model/gallery.hpp"
 #include "search/fixed_space.hpp"
-#include "search/parallel_search.hpp"
 
 namespace sysmap::search {
 namespace {
@@ -341,7 +339,7 @@ TEST(FixedSpaceParity, ValidatesShapes) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: context on/off and serial/parallel, identical results
+// End-to-end: context on/off, identical results
 // ---------------------------------------------------------------------------
 
 void expect_identical(const SearchResult& a, const SearchResult& b) {
@@ -372,20 +370,6 @@ TEST(FixedSpaceParity, Procedure51ContextOnOffBitIdentical) {
       SearchResult fast = procedure_5_1(c.algo, c.space, with_ctx);
       SearchResult seed = procedure_5_1(c.algo, c.space, without_ctx);
       expect_identical(seed, fast);
-    }
-  }
-}
-
-TEST(FixedSpaceParity, ParallelContextMatchesSerialSeedAcrossThreads) {
-  for (const ParityCase& c : parity_cases()) {
-    SearchOptions seed_opts;
-    seed_opts.use_fixed_space_context = false;
-    SearchResult seed = procedure_5_1(c.algo, c.space, seed_opts);
-    for (std::size_t threads : {1u, 2u, 5u}) {
-      SCOPED_TRACE(c.algo.name() + " threads=" + std::to_string(threads));
-      SearchResult parallel =
-          procedure_5_1_parallel(c.algo, c.space, {}, threads);
-      expect_identical(seed, parallel);
     }
   }
 }

@@ -3,6 +3,8 @@
 // Examples 5.1 and 5.2 as golden results.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "baseline/prior_work.hpp"
 #include "lattice/hnf.hpp"
 #include "linalg/ops.hpp"
@@ -64,6 +66,20 @@ TEST(Enumerate, AbortPropagates) {
   });
   EXPECT_FALSE(completed);
   EXPECT_EQ(count, 3);
+}
+
+// S must be (k-1) x n with k <= n, whichever path screens the candidates.
+TEST(Procedure51, ValidatesShapes) {
+  const model::UniformDependenceAlgorithm algo = model::matmul(3);
+  SearchOptions from_scratch;
+  from_scratch.use_fixed_space_context = false;
+  for (const SearchOptions& opts : {SearchOptions{}, from_scratch}) {
+    EXPECT_THROW(procedure_5_1(algo, MatI{{1, 1}}, opts),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        procedure_5_1(algo, MatI{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}, opts),
+        std::invalid_argument);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
 
 // I3: per-worker slots written by workers are visible to the caller after
 // run() returns, with no atomics on the slots themselves.  This is the
-// exact access pattern of parallel_search's WorkerBest/passed arrays.
+// exact access pattern of the space sweeps' per-worker LocalBest slots.
 TEST(ThreadPoolTest, WorkerSlotWritesAreVisibleAfterJoin) {
   ThreadPool pool(8);
   constexpr int kGenerations = 200;

@@ -1,5 +1,5 @@
 // Canonical-form verdict cache: key canonicalization, cache mechanics,
-// batch-vs-scalar screen parity and (the point of the exercise) verdict
+// cached-vs-scalar screen parity and (the point of the exercise) verdict
 // reuse across Pi and S candidates without perturbing a single result bit.
 #include <gtest/gtest.h>
 
@@ -186,10 +186,10 @@ TEST(VerdictCache, HitsAccumulateAcrossScaledSpaces) {
   expect_same_result(procedure_5_1(algo, s2, {}), second);
 }
 
-// Batch screen parity, asserted directly (the contracts build re-checks
-// this inside screen_batch on every call): per-column equality with the
-// scalar screen, cached and uncached.
-TEST(VerdictCache, BatchScreenMatchesScalarScreen) {
+// Cached screen parity, per candidate: memoizing by canonical conflict
+// form must reproduce the uncached screen's accept/reject and verdict on
+// every candidate of a level, not only on the search's winner.
+TEST(VerdictCache, CachedScreenMatchesScalarScreen) {
   model::UniformDependenceAlgorithm algo = model::matmul(4);
   FixedSpaceContext ctx(algo.index_set(), MatI{{1, 1, -1}});
   VerdictCache cache;
@@ -202,39 +202,20 @@ TEST(VerdictCache, BatchScreenMatchesScalarScreen) {
     ASSERT_FALSE(pis.empty());
     for (ConflictOracle oracle :
          {ConflictOracle::kExact, ConflictOracle::kPaperTheorems}) {
-      std::vector<std::optional<mapping::ConflictVerdict>> batch;
-      ASSERT_TRUE(ctx.screen_batch(oracle, pis, batch));
-      ASSERT_EQ(batch.size(), pis.size());
-      std::vector<std::optional<mapping::ConflictVerdict>> cached_batch;
-      ASSERT_TRUE(ctx.screen_batch(oracle, pis, cached_batch, &cache));
       for (std::size_t j = 0; j < pis.size(); ++j) {
         const std::optional<mapping::ConflictVerdict> scalar =
             ctx.screen(oracle, pis[j]);
-        ASSERT_EQ(batch[j].has_value(), scalar.has_value()) << "col " << j;
-        ASSERT_EQ(cached_batch[j].has_value(), scalar.has_value())
-            << "col " << j;
+        const std::optional<mapping::ConflictVerdict> cached =
+            ctx.screen(oracle, pis[j], &cache);
+        ASSERT_EQ(cached.has_value(), scalar.has_value()) << "col " << j;
         if (scalar) {
-          EXPECT_EQ(batch[j]->status, scalar->status);
-          EXPECT_EQ(batch[j]->rule, scalar->rule);
-          EXPECT_EQ(cached_batch[j]->status, scalar->status);
-          EXPECT_EQ(cached_batch[j]->rule, scalar->rule);
+          EXPECT_EQ(cached->status, scalar->status);
+          EXPECT_EQ(cached->rule, scalar->rule);
         }
       }
     }
   }
   EXPECT_GT(cache.stats().entries, 0u);
-}
-
-TEST(VerdictCache, BatchScreenDeclinesWhenNotApplicable) {
-  model::UniformDependenceAlgorithm algo = model::unit_cube_algorithm(4, 2);
-  FixedSpaceContext ctx(algo.index_set(), MatI{{1, 0, 0, 0}});  // k = n-2
-  std::vector<VecI> pis{VecI{1, 1, 1, 1}};
-  std::vector<std::optional<mapping::ConflictVerdict>> out;
-  EXPECT_FALSE(ctx.screen_batch(ConflictOracle::kExact, pis, out));
-  FixedSpaceContext ray(algo.index_set(),
-                        MatI{{1, 0, 0, 0}, {0, 1, 0, 0}});  // k = n-1
-  EXPECT_FALSE(ctx.screen_batch(ConflictOracle::kBruteForce, pis, out));
-  EXPECT_TRUE(ray.screen_batch(ConflictOracle::kExact, pis, out));
 }
 
 // Problem 6.1 sweep: the cached path must pick the same optimum and the

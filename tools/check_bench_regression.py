@@ -86,6 +86,7 @@ def compare_pair(baseline_path, current_path, threshold):
         "current_rows": len(current),
         "compared": 0,
         "regressions": [],
+        "missing": [],
     }
     if not baseline_readable:
         # First run of a new suite: there is nothing to gate against yet.
@@ -98,6 +99,11 @@ def compare_pair(baseline_path, current_path, threshold):
     for key, base_cps in sorted(baseline.items()):
         cur_cps = current.get(key)
         if cur_cps is None:
+            # A deleted mode or case would otherwise shrink the gate
+            # silently; list it so the summary shows what went ungated.
+            case, oracle, mode = key
+            result["missing"].append(
+                {"case": case, "oracle": oracle, "mode": mode})
             continue
         if base_cps <= 0:
             # A zero baseline would divide by zero below; it carries no
@@ -126,10 +132,11 @@ def self_test():
     """Exercises every degrade path on synthetic fixtures.
 
     Returns 0 when all assertions hold; run by CI so the gate's own
-    crash-resilience (null metrics, zero baselines, missing files) is
-    itself gated.
+    crash-resilience (null metrics, zero baselines, missing files, baseline
+    rows the current run no longer produces) is itself gated.
     """
     import os
+    import subprocess
     import tempfile
 
     def row(case, cps):
@@ -177,7 +184,25 @@ def self_test():
 
         improved = compare_pair(cur, cur, threshold=0.30)
         check("identical suites report no regression",
-              improved["compared"] == 4 and not improved["regressions"])
+              improved["compared"] == 4 and not improved["regressions"]
+              and not improved["missing"])
+
+        shrunk = os.path.join(tmp, "shrunk.json")
+        with open(shrunk, "w", encoding="utf-8") as fh:
+            fh.write(row("fast", 1000.0) + "\n")
+        dropped = compare_pair(cur, shrunk, threshold=0.30)
+        check("baseline rows absent from the current run listed as missing",
+              dropped["compared"] == 1
+              and sorted(m["case"] for m in dropped["missing"])
+              == ["null", "text", "zero"])
+        check("a full current run lists nothing missing",
+              not res["missing"])
+        run = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), cur, shrunk],
+            capture_output=True, text=True, check=False)
+        check("missing rows print a note and keep exit code 0",
+              run.returncode == 0 and "has no current row" in run.stdout
+              and "3 missing" in run.stdout)
 
     print(f"self-test: {'PASS' if not failures else 'FAIL'} "
           f"({len(failures)} failing check(s))")
@@ -212,11 +237,17 @@ def main():
 
     total_compared = 0
     total_regressions = 0
+    total_missing = 0
     for res in results:
         total_compared += res["compared"]
         total_regressions += len(res["regressions"])
+        total_missing += len(res["missing"])
         if res["baseline_missing"]:
             continue  # already reported by compare_pair
+        for gone in res["missing"]:
+            print(f"note: {res['baseline']}: baseline row "
+                  f"{gone['case']}/{gone['oracle']}/{gone['mode']} has no "
+                  f"current row; not gated")
         if res["compared"] == 0:
             print(f"bench-regression: nothing to compare for "
                   f"{res['baseline']} vs {res['current']} "
@@ -235,8 +266,10 @@ def main():
               f"{args.threshold:.0%} threshold")
 
     print(f"bench-regression: total {total_compared} rows across "
-          f"{len(pairs)} suite(s), {total_regressions} regression(s)"
-          + (" (warnings only, job not failed)" if total_regressions else ""))
+          f"{len(pairs)} suite(s), {total_regressions} regression(s), "
+          f"{total_missing} missing"
+          + (" (warnings only, job not failed)"
+             if total_regressions or total_missing else ""))
 
     if args.summary:
         report = {
@@ -244,6 +277,7 @@ def main():
             "threshold": args.threshold,
             "total_compared": total_compared,
             "total_regressions": total_regressions,
+            "total_missing": total_missing,
             "suites": results,
         }
         try:

@@ -349,8 +349,7 @@ bool GuardsPass::kernel_surface(const std::string& path) {
       "src/search/enumerate", "src/search/fixed_space",
       "src/search/space_optimal",
       "src/support/flat_image_set", "src/support/packed_coord",
-      "src/systolic/simulator", "src/systolic/engine",  "src/linalg/batch",
-      "lint_fixtures"};
+      "src/systolic/simulator", "src/systolic/engine",  "lint_fixtures"};
   for (const char* n : needles) {
     if (path.find(n) != std::string::npos) return true;
   }
