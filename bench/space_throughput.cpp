@@ -1,23 +1,22 @@
 // SPACE-THROUGHPUT -- ablation of the Problem 6.1/6.2 sweep engines.
 //
 // Runs the space-optimal search (fixed Pi, sweep all candidate S) end to
-// end for each gallery workload, across four modes:
-//   seed            the original serial std::set engine, verbatim
-//   incremental     fast engine, packed-image incremental counting only
-//                   (orbit cache and branch-and-bound off, one thread)
-//   incr_orbit_bnb  fast engine, counting + orbit-canonical count reuse +
-//                   wire-first branch-and-bound (one thread)
-//   parallel        incr_orbit_bnb fanned over the thread pool
+// end for each gallery workload, across three modes:
+//   seed      the original serial std::set engine, verbatim
+//   serial    the fast engine (packed-image counting, orbit-canonical
+//             count reuse, wire-first branch-and-bound) on one thread
+//   parallel  the fast engine fanned over the thread pool
 // All modes are bit-identical by construction in (found, space, cost,
 // verdict, candidates_tested) -- this harness asserts that before
 // reporting any number.  A final Problem 6.2 section holds the fast
 // Pareto sweep equal to its seed the same way.
 //
 // Output: a human-readable table on stdout and JSON lines (one object per
-// case/mode plus per-case speedup summaries) written to
-// $SYSMAP_BENCH_JSON or BENCH_space.json.  Set SYSMAP_BENCH_SMOKE=1 for a
-// single-rep quick pass (CI smoke); pass --threads N to size the parallel
-// mode (default 4).
+// case/mode plus per-case speedup summaries, then one obs snapshot whose
+// search.space.* counters report how often each shortcut fired) written
+// to $SYSMAP_BENCH_JSON or BENCH_space.json.  Set SYSMAP_BENCH_SMOKE=1
+// for a single-rep quick pass (CI smoke); pass --threads N to size the
+// parallel mode (default 4).
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -46,16 +45,14 @@ struct Timing {
   search::SpaceSearchResult result;
 };
 
-enum class Mode { kSeed, kIncremental, kIncrOrbitBnb, kParallel };
+enum class Mode { kSeed, kSerial, kParallel };
 
 const char* mode_name(Mode m) {
   switch (m) {
     case Mode::kSeed:
       return "seed";
-    case Mode::kIncremental:
-      return "incremental";
-    case Mode::kIncrOrbitBnb:
-      return "incr_orbit_bnb";
+    case Mode::kSerial:
+      return "serial";
     case Mode::kParallel:
       return "parallel";
   }
@@ -67,28 +64,7 @@ search::SpaceSearchOptions mode_options(const Case& c, Mode mode,
   search::SpaceSearchOptions opts;
   opts.max_entry = c.max_entry;
   opts.array_dims = c.array_dims;
-  switch (mode) {
-    case Mode::kSeed:
-      break;  // flags ignored by the seed engine
-    case Mode::kIncremental:
-      opts.num_threads = 1;
-      opts.use_incremental_count = true;
-      opts.use_orbit_cache = false;
-      opts.use_branch_and_bound = false;
-      break;
-    case Mode::kIncrOrbitBnb:
-      opts.num_threads = 1;
-      opts.use_incremental_count = true;
-      opts.use_orbit_cache = true;
-      opts.use_branch_and_bound = true;
-      break;
-    case Mode::kParallel:
-      opts.num_threads = threads;
-      opts.use_incremental_count = true;
-      opts.use_orbit_cache = true;
-      opts.use_branch_and_bound = true;
-      break;
-  }
+  if (mode == Mode::kParallel) opts.num_threads = threads;
   return opts;
 }
 
@@ -134,10 +110,6 @@ void emit_json(std::ostream& json, const Case& c, Mode mode, const Timing& t,
        << ",\"ms\":" << t.ms
        << ",\"candidates_tested\":" << t.result.candidates_tested
        << ",\"candidates_per_sec\":" << cps
-       << ",\"orbit_hits\":" << t.result.orbit_hits
-       << ",\"bnb_pruned\":" << t.result.bnb_pruned
-       << ",\"walks_early_exited\":" << t.result.walks_early_exited
-       << ",\"injective_shortcuts\":" << t.result.injective_shortcuts
        << ",\"found\":" << (t.result.found ? "true" : "false")
        << ",\"cost\":"
        << (t.result.found ? t.result.cost.total() : Int{0}) << "}\n";
@@ -203,33 +175,30 @@ int main(int argc, char** argv) {
 
   std::cout << "SPACE-THROUGHPUT: Problem 6.1 sweep engines (" << threads
             << " parallel threads)\n";
-  std::cout << "case                        cands   seed_ms   incr_ms  "
-               "orbit_ms  par_ms   orbit/seed  orbit_hits  pruned\n";
+  std::cout << "case                        cands   seed_ms   serial_ms  "
+               "par_ms   serial/seed  par/seed\n";
 
   bool all_parity_ok = true;
   for (const Case& c : cases) {
     int reps = 1;
     if (!smoke) {
-      // Calibrate on one incremental run so every mode repeats long
+      // Calibrate on one serial run so every fast mode repeats long
       // enough to time stably, then keep the count identical across
-      // modes.  The seed mode is the slow one, so this stays affordable.
-      Timing probe = run_mode(c, Mode::kIncremental, 1, threads);
+      // them.  The seed mode is the slow one, so this stays affordable.
+      Timing probe = run_mode(c, Mode::kSerial, 1, threads);
       reps = probe.ms >= 50 ? 3 : static_cast<int>(50 / (probe.ms + 0.01)) + 3;
     }
     Timing seed = run_mode(c, Mode::kSeed, smoke ? 1 : 3, threads);
-    Timing incr = run_mode(c, Mode::kIncremental, reps, threads);
-    Timing orbit = run_mode(c, Mode::kIncrOrbitBnb, reps, threads);
+    Timing serial = run_mode(c, Mode::kSerial, reps, threads);
     Timing par = run_mode(c, Mode::kParallel, reps, threads);
-    bool ok = identical(seed.result, incr.result) &&
-              identical(seed.result, orbit.result) &&
+    bool ok = identical(seed.result, serial.result) &&
               identical(seed.result, par.result);
     if (!ok) {
       std::cerr << "PARITY VIOLATION in " << c.name << "\n";
       all_parity_ok = false;
       continue;
     }
-    double incr_speedup = incr.ms > 0 ? seed.ms / incr.ms : 0;
-    double orbit_speedup = orbit.ms > 0 ? seed.ms / orbit.ms : 0;
+    double serial_speedup = serial.ms > 0 ? seed.ms / serial.ms : 0;
     double par_speedup = par.ms > 0 ? seed.ms / par.ms : 0;
 
     std::ostringstream row;
@@ -237,20 +206,17 @@ int main(int argc, char** argv) {
     row.precision(3);
     row << c.name;
     for (std::size_t p = c.name.size(); p < 28; ++p) row << ' ';
-    row << seed.result.candidates_tested << "  " << seed.ms << "  " << incr.ms
-        << "  " << orbit.ms << "  " << par.ms << "  ";
+    row << seed.result.candidates_tested << "  " << seed.ms << "  "
+        << serial.ms << "  " << par.ms << "  ";
     row.precision(2);
-    row << orbit_speedup << "x  " << orbit.result.orbit_hits << "  "
-        << orbit.result.bnb_pruned << "+" << orbit.result.walks_early_exited;
+    row << serial_speedup << "x  " << par_speedup << "x";
     std::cout << row.str() << "\n";
 
     emit_json(json, c, Mode::kSeed, seed, threads);
-    emit_json(json, c, Mode::kIncremental, incr, threads);
-    emit_json(json, c, Mode::kIncrOrbitBnb, orbit, threads);
+    emit_json(json, c, Mode::kSerial, serial, threads);
     emit_json(json, c, Mode::kParallel, par, threads);
     json << "{\"case\":\"" << c.name << "\",\"threads\":" << threads
-         << ",\"incremental_vs_seed\":" << incr_speedup
-         << ",\"incr_orbit_bnb_vs_seed\":" << orbit_speedup
+         << ",\"serial_vs_seed\":" << serial_speedup
          << ",\"parallel_vs_seed\":" << par_speedup << "}\n";
     json.flush();
   }

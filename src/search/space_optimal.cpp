@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
 
 #include "exact/checked.hpp"
+#include "exact/contracts.hpp"
 #include "lattice/kernel.hpp"
 #include "linalg/ops.hpp"
 #include "mapping/canonical_key.hpp"
@@ -232,67 +234,58 @@ bool injective_on_box(const model::IndexSet& set, const MatI& space) {
       .conflict_free();
 }
 
-// Advisory per-worker statistics (summed after the join; deterministic in
-// the serial sweep, interleaving-dependent in the parallel one -- both
-// excluded from the bit-identical contract).
-struct SweepStats {
-  std::uint64_t orbit_hits = 0;
-  std::uint64_t bnb_pruned = 0;
-  std::uint64_t walks_early_exited = 0;
-  std::uint64_t injective_shortcuts = 0;
-};
-
 // Per-worker processor-count evaluator: orbit-cache lookup, injectivity
-// shortcut, then support::count_images on one reused flat table.  Every
-// path computes the same exact count; only speed and the advisory stats
-// differ.
+// shortcut, then support::count_images on one reused flat table (which
+// falls back to the std::set walk by itself when a box does not pack).
+// Every path computes the same exact count; only speed and the
+// search.space.* counters differ.
 class ProcessorCounter {
  public:
-  ProcessorCounter(const model::IndexSet& set, const SpaceSearchOptions& opt,
-                   std::uint64_t points, bool points_known,
-                   ImageCountCache* counts)
+  ProcessorCounter(const model::IndexSet& set, std::uint64_t points,
+                   bool points_known, ImageCountCache& counts)
       : set_(&set),
-        options_(&opt),
         points_(points),
         points_known_(points_known),
-        counts_(counts),
+        counts_(&counts),
         images_(points_known ? static_cast<std::size_t>(
                                    std::min<std::uint64_t>(points, 1u << 20))
                              : 64) {}
 
   /// Exact |{S j}|, or nullopt when `exit_above >= 0` and the walk proved
   /// count > exit_above (candidate strictly loses).
-  std::optional<Int> count(const MatI& space, Int exit_above,
-                           SweepStats& stats) {
-    std::optional<mapping::ConflictKey> orbit_key;
-    if (counts_ != nullptr) {
-      orbit_key = mapping::canonical_space_orbit_key(space, *set_);
-      if (std::optional<Int> hit = counts_->lookup(*orbit_key)) {
-        ++stats.orbit_hits;
-        return *hit;
-      }
+  std::optional<Int> count(const MatI& space, Int exit_above) {
+    const mapping::ConflictKey orbit_key =
+        mapping::canonical_space_orbit_key(space, *set_);
+    if (std::optional<Int> hit = counts_->lookup(orbit_key)) {
+      SYSMAP_COUNT("search.space.orbit_hits", 1);
+      return *hit;
     }
-    std::optional<support::ImagePacking> packing;
-    if (options_->use_incremental_count) {
-      packing = support::ImagePacking::build(space, *set_);
-    }
+    const std::optional<support::ImagePacking> packing =
+        support::ImagePacking::build(space, *set_);
     Int exact_count = 0;
     if (packing && points_known_ && points_ >= kInjectivityMinPoints &&
         packing->product >= points_ && injective_on_box(*set_, space)) {
-      ++stats.injective_shortcuts;
+      SYSMAP_COUNT("search.space.injective_shortcuts", 1);
       exact_count = static_cast<Int>(points_);
     } else {
       exact_count =
           support::count_images(*set_, space, packing, images_, exit_above);
       if (exact_count < 0) return std::nullopt;  // early exit: loses
     }
-    if (counts_ != nullptr) counts_->insert(*orbit_key, exact_count);
+    counts_->insert(orbit_key, exact_count);
     return exact_count;
+  }
+
+  /// The exact array cost of S, never cut short.
+  ArrayCost cost(const MatI& space, const MatI& dependence) {
+    ArrayCost out;
+    out.processors = *count(space, /*exit_above=*/-1);
+    out.wire_length = wire_length_sum(space, dependence);
+    return out;
   }
 
  private:
   const model::IndexSet* set_;
-  const SpaceSearchOptions* options_;
   std::uint64_t points_;
   bool points_known_;
   ImageCountCache* counts_;
@@ -345,27 +338,150 @@ class SpaceFeed {
   SpaceEnumerator enumerator_;
 };
 
-// One worker's running incumbent: the lexicographic minimum of
-// (total, processors, global position) over the feasible candidates it
-// evaluated -- exactly the seed's "strictly better total, or equal total
-// with strictly fewer processors, first seen wins" update order.
-struct LocalBest {
+// A sweep incumbent: the lexicographic minimum of (objective, total,
+// processors, global position) over the candidates offered to it --
+// exactly the seeds' "strictly smaller objective, then strictly smaller
+// total, then strictly fewer processors, first seen wins" update order.
+// Problem 6.1 holds Pi fixed and leaves the objective at 0.
+struct Incumbent {
   bool found = false;
+  Int objective = 0;
   Int total = 0;
   std::uint64_t pos = 0;
   MatI space;
+  VecI pi;
+  Int makespan = 0;
   ArrayCost cost;
   mapping::ConflictVerdict verdict;
-  SweepStats stats;
 
-  bool better_than(const LocalBest& other) const {
+  Incumbent() = default;
+  Incumbent(std::uint64_t at, const MatI& s, const ArrayCost& c)
+      : found(true),
+        total(exact::add_checked(c.processors, c.wire_length)),
+        pos(at),
+        space(s),
+        cost(c) {}
+
+  bool better_than(const Incumbent& other) const {
+    if (objective != other.objective) return objective < other.objective;
     if (total != other.total) return total < other.total;
     if (cost.processors != other.cost.processors) {
       return cost.processors < other.cost.processors;
     }
     return pos < other.pos;
   }
+
+  void offer(Incumbent&& candidate) {
+    if (!found || candidate.better_than(*this)) *this = std::move(candidate);
+  }
 };
+
+// The deterministic reduction of per-worker incumbents.
+Incumbent best_of(std::vector<Incumbent>& locals) {
+  Incumbent best;
+  for (Incumbent& local : locals) {
+    if (local.found) best.offer(std::move(local));
+  }
+  return best;
+}
+
+// Pareto filter on (makespan, cost.total()), sorted by makespan.  The
+// sort is unstable, so tied orderings are bit-identical across engines
+// only because both feed it the serial visit order.
+std::vector<DesignPoint> pareto_filter(std::vector<DesignPoint> points) {
+  std::sort(points.begin(), points.end(),
+            [](const DesignPoint& a, const DesignPoint& b) {
+              if (a.makespan != b.makespan) return a.makespan < b.makespan;
+              return a.cost.total() < b.cost.total();
+            });
+  std::vector<DesignPoint> front;
+  for (DesignPoint& p : points) {
+    // Keeping only strictly cheaper points also drops duplicate
+    // (makespan, cost) pairs.
+    if (front.empty() || p.cost.total() < front.back().cost.total()) {
+      front.push_back(std::move(p));
+    }
+  }
+  return front;
+}
+
+// One fused pipeline persists across every candidate space of a Problem
+// 6.2 sweep: shared verdict cache, schedule-orbit objective reuse,
+// per-space contexts.  Array design is off -- the sweeps consume only the
+// schedule of each space.
+std::unique_ptr<MappingPipeline> fused_pipeline(
+    const SpaceSearchOptions& options) {
+  PipelineOptions fused;
+  fused.design_array = false;
+  auto pipeline = std::make_unique<MappingPipeline>(fused);
+  pipeline->enable_fusion({options.verdict_cache});
+  return pipeline;
+}
+
+// Scores one candidate space; nullopt when the pipeline rejects it as
+// degenerate.  A ContractViolation is a library bug, not a degenerate
+// candidate, so it propagates.
+std::optional<MappingSolution> score_space(
+    const MappingPipeline& pipeline,
+    const model::UniformDependenceAlgorithm& algo, const MatI& space,
+    Int cap) {
+  try {
+    return pipeline.score(algo, space, cap);
+  } catch (const exact::ContractViolation&) {
+    throw;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
+// One sweep's per-worker states plus the candidates the feed handed out.
+template <typename State>
+struct Sweep {
+  std::uint64_t candidates = 0;
+  std::vector<State> workers;
+};
+
+// The one Problem 6.1/6.2 driver: a shared lazy SpaceFeed, one shared
+// orbit-count cache, one ProcessorCounter and State per worker, run
+// inline for num_threads <= 1 and on a support::ThreadPool otherwise.
+// `visit(state, counter, space, pos)` sees every candidate exactly once;
+// `pos` is its index in the serial visit order, which is what the
+// callers' reductions use to reproduce the serial result.
+template <typename State, typename Visit>
+Sweep<State> run_sweep(const model::UniformDependenceAlgorithm& algo,
+                       const SpaceSearchOptions& options,
+                       const Visit& visit) {
+  const model::IndexSet& set = algo.index_set();
+  std::uint64_t points = 0;
+  bool points_known = true;
+  try {
+    points = set.size_u64();
+  } catch (const exact::OverflowError&) {
+    points_known = false;  // disables the injectivity compare only
+  }
+  ImageCountCache counts;
+  SpaceFeed feed(algo.dimension(), options);
+  Sweep<State> sweep;
+  sweep.workers.resize(std::max<std::size_t>(options.num_threads, 1));
+
+  auto body = [&](std::size_t w) {
+    ProcessorCounter counter(set, points, points_known, counts);
+    SpaceChunk chunk;
+    while (feed.draw(kChunk, chunk)) {
+      for (std::size_t i = 0; i < chunk.len; ++i) {
+        visit(sweep.workers[w], counter, chunk.spaces[i], chunk.base + i);
+      }
+    }
+  };
+  if (sweep.workers.size() == 1) {
+    body(0);
+  } else {
+    support::ThreadPool pool(sweep.workers.size());
+    pool.run(body);
+  }
+  sweep.candidates = feed.produced();
+  return sweep;
+}
 
 }  // namespace
 
@@ -460,13 +576,6 @@ SpaceSearchResult space_optimal_mapping_seed(
 
   SpaceSearchResult best;
   VerdictCache* cache = options.verdict_cache;
-  std::uint64_t cache_hits0 = 0;
-  std::uint64_t cache_misses0 = 0;
-  if (cache != nullptr) {
-    const VerdictCache::Stats s = cache->stats();
-    cache_hits0 = s.hits;
-    cache_misses0 = s.misses;
-  }
   for (const MatI& space : candidate_spaces(n, options)) {
     ++best.candidates_tested;
     mapping::ConflictVerdict verdict;
@@ -495,11 +604,6 @@ SpaceSearchResult space_optimal_mapping_seed(
       best.verdict = verdict;
     }
   }
-  if (cache != nullptr) {
-    const VerdictCache::Stats s = cache->stats();
-    best.cache_hits = s.hits - cache_hits0;
-    best.cache_misses = s.misses - cache_misses0;
-  }
   return best;
 }
 
@@ -509,53 +613,29 @@ SpaceSearchResult space_optimal_mapping(
     const model::UniformDependenceAlgorithm& algo, const VecI& pi,
     const SpaceSearchOptions& options) {
   SYSMAP_SPAN("search.space.space_optimal_mapping");
-  const std::size_t n = algo.dimension();
   validate_problem61_inputs(algo, pi, options);
   const model::IndexSet& set = algo.index_set();
-  const std::uint64_t points = set.size_u64();  // fits: budget-checked
-
+  const MatI& dependence = algo.dependence_matrix();
   VerdictCache* cache = options.verdict_cache;
-  std::uint64_t cache_hits0 = 0;
-  std::uint64_t cache_misses0 = 0;
-  if (cache != nullptr) {
-    const VerdictCache::Stats s = cache->stats();
-    cache_hits0 = s.hits;
-    cache_misses0 = s.misses;
-  }
-
-  ImageCountCache counts;
-  ImageCountCache* counts_ptr =
-      options.use_orbit_cache ? &counts : nullptr;
-  SpaceFeed feed(n, options);
   std::atomic<Int> best_total{kNoIncumbent};
-  const std::size_t workers =
-      options.num_threads <= 1 ? 1 : options.num_threads;
-  std::vector<LocalBest> locals(workers);
 
-  auto body = [&](std::size_t w) {
-    LocalBest& local = locals[w];
-    ProcessorCounter counter(set, options, points, /*points_known=*/true,
-                             counts_ptr);
-    SpaceChunk chunk;
-    while (feed.draw(kChunk, chunk)) {
-      for (std::size_t i = 0; i < chunk.len; ++i) {
-        const MatI& space = chunk.spaces[i];
-        const std::uint64_t pos = chunk.base + i;
-        const Int wire = wire_length_sum(space, algo.dependence_matrix());
+  Sweep<Incumbent> sweep = run_sweep<Incumbent>(
+      algo, options,
+      [&](Incumbent& local, ProcessorCounter& counter, const MatI& space,
+          std::uint64_t pos) {
+        const Int wire = wire_length_sum(space, dependence);
 
         // Branch-and-bound gate 1: wire plus a per-row processor lower
         // bound already beats the incumbent STRICTLY (never on ties, so
         // the fewer-processors tie-break survives).  The bound only ever
         // holds totals of fully verified candidates, so a pruned
         // candidate can never be the lexicographic winner.
-        if (options.use_branch_and_bound) {
-          const Int bound = best_total.load(std::memory_order_relaxed);
-          if (bound != kNoIncumbent &&
-              exceeds_strictly(wire, processor_lower_bound(space, set),
-                               bound)) {
-            ++local.stats.bnb_pruned;
-            continue;
-          }
+        Int bound = best_total.load(std::memory_order_relaxed);
+        if (bound != kNoIncumbent &&
+            exceeds_strictly(wire, processor_lower_bound(space, set),
+                             bound)) {
+          SYSMAP_COUNT("search.space.bnb_pruned", 1);
+          return;
         }
 
         // Conflict screen -- branch-for-branch the seed's.
@@ -564,80 +644,44 @@ SpaceSearchResult space_optimal_mapping(
           FixedSpaceContext ctx(set, space);
           std::optional<mapping::ConflictVerdict> v =
               ctx.screen(ConflictOracle::kExact, pi, cache);
-          if (!v) continue;
+          if (!v) return;
           verdict = std::move(*v);
         } else {
           mapping::MappingMatrix t(space, pi);
-          if (!t.has_full_rank()) continue;
+          if (!t.has_full_rank()) return;
           verdict = mapping::decide_conflict_free(t, set);
-          if (!verdict.conflict_free()) continue;
+          if (!verdict.conflict_free()) return;
         }
 
         // Branch-and-bound gate 2: cut the image walk once the running
         // distinct-image count alone loses strictly.
+        bound = best_total.load(std::memory_order_relaxed);
         Int exit_above = -1;
-        if (options.use_branch_and_bound) {
-          const Int bound = best_total.load(std::memory_order_relaxed);
-          if (bound != kNoIncumbent) {
-            exit_above =
-                bound >= wire ? exact::sub_checked(bound, wire) : Int{0};
-          }
+        if (bound != kNoIncumbent) {
+          exit_above = bound >= wire ? exact::sub_checked(bound, wire) : 0;
         }
-        const std::optional<Int> procs =
-            counter.count(space, exit_above, local.stats);
+        const std::optional<Int> procs = counter.count(space, exit_above);
         if (!procs) {
-          ++local.stats.walks_early_exited;
-          continue;
+          SYSMAP_COUNT("search.space.walks_early_exited", 1);
+          return;
         }
         ArrayCost cost;
         cost.processors = *procs;
         cost.wire_length = wire;
-        const Int total = exact::add_checked(cost.processors,
-                                             cost.wire_length);
-        atomic_fetch_min(best_total, total);
-        LocalBest candidate;
-        candidate.found = true;
-        candidate.total = total;
-        candidate.pos = pos;
-        candidate.space = space;
-        candidate.cost = cost;
+        Incumbent candidate(pos, space, cost);
         candidate.verdict = std::move(verdict);
-        if (!local.found || candidate.better_than(local)) {
-          candidate.stats = local.stats;
-          local = std::move(candidate);
-        }
-      }
-    }
-  };
-
-  if (workers == 1) {
-    body(0);
-  } else {
-    support::ThreadPool pool(workers);
-    pool.run(body);
-  }
+        atomic_fetch_min(best_total, candidate.total);
+        local.offer(std::move(candidate));
+      });
 
   SpaceSearchResult best;
-  best.candidates_tested = feed.produced();
-  const LocalBest* winner = nullptr;
-  for (const LocalBest& local : locals) {
-    best.orbit_hits += local.stats.orbit_hits;
-    best.bnb_pruned += local.stats.bnb_pruned;
-    best.walks_early_exited += local.stats.walks_early_exited;
-    best.injective_shortcuts += local.stats.injective_shortcuts;
-    if (!local.found) continue;
-    if (winner == nullptr || local.better_than(*winner)) winner = &local;
-  }
-  if (winner != nullptr) {
+  best.candidates_tested = sweep.candidates;
+  Incumbent winner = best_of(sweep.workers);
+  if (winner.found) {
     best.found = true;
-    best.space = winner->space;
-    best.cost = winner->cost;
-    best.verdict = winner->verdict;
-  }
-  if (cache != nullptr) {
-    const VerdictCache::Stats s = cache->stats();
-    best.cache_hits = s.hits - cache_hits0;
-    best.cache_misses = s.misses - cache_misses0;
+    best.space = std::move(winner.space);
+    best.cost = winner.cost;
+    best.verdict = std::move(winner.verdict);
   }
   return best;
 }
@@ -661,6 +705,8 @@ DesignSpaceResult explore_design_space_seed(
     MappingSolution solution;
     try {
       solution = pipeline.find_time_optimal(algo, space);
+    } catch (const exact::ContractViolation&) {
+      throw;  // a library bug, never a degenerate candidate
     } catch (const std::exception&) {
       continue;  // defensive: skip degenerate candidates
     }
@@ -673,28 +719,7 @@ DesignSpaceResult explore_design_space_seed(
     point.cost = evaluate_array_cost(algo, space);
     points.push_back(std::move(point));
   }
-
-  // Pareto filter on (makespan, cost.total()).
-  std::sort(points.begin(), points.end(),
-            [](const DesignPoint& a, const DesignPoint& b) {
-              if (a.makespan != b.makespan) return a.makespan < b.makespan;
-              return a.cost.total() < b.cost.total();
-            });
-  Int best_cost = 0;
-  bool first = true;
-  for (auto& p : points) {
-    if (first || p.cost.total() < best_cost) {
-      // Skip duplicates at identical (makespan, cost).
-      if (!result.pareto.empty() &&
-          result.pareto.back().makespan == p.makespan &&
-          result.pareto.back().cost.total() == p.cost.total()) {
-        continue;
-      }
-      best_cost = p.cost.total();
-      first = false;
-      result.pareto.push_back(std::move(p));
-    }
-  }
+  result.pareto = pareto_filter(std::move(points));
   return result;
 }
 
@@ -704,108 +729,45 @@ DesignSpaceResult explore_design_space(
     const model::UniformDependenceAlgorithm& algo,
     const SpaceSearchOptions& options) {
   SYSMAP_SPAN("search.space.explore_design_space");
-  const std::size_t n = algo.dimension();
-  const model::IndexSet& set = algo.index_set();
-  std::uint64_t points_count = 0;
-  bool points_known = true;
-  try {
-    points_count = set.size_u64();
-  } catch (const exact::OverflowError&) {
-    points_known = false;  // disables the injectivity compare only
-  }
-
-  ImageCountCache counts;
-  ImageCountCache* counts_ptr =
-      options.use_orbit_cache ? &counts : nullptr;
-  SpaceFeed feed(n, options);
-  const std::size_t workers =
-      options.num_threads <= 1 ? 1 : options.num_threads;
-  // One fused pipeline persists across every candidate space: shared
-  // verdict cache, schedule-orbit objective reuse, per-space contexts.
+  const MatI& dependence = algo.dependence_matrix();
   // score() without a cap is bit-identical to the cold per-space calls the
   // seed engine makes, so the Pareto set is unchanged (a cap would break
   // frontier parity: dominated-on-time points can still be on it).
-  PipelineOptions fused_options;
-  fused_options.design_array = false;
-  MappingPipeline pipeline(fused_options);
-  MappingPipeline::FusionOptions fusion;
-  fusion.verdict_cache = options.verdict_cache;
-  fusion.use_schedule_orbit_cache = options.use_schedule_cache;
-  pipeline.enable_fusion(fusion);
-  std::vector<std::vector<std::pair<std::uint64_t, DesignPoint>>> accepted(
-      workers);
+  const std::unique_ptr<MappingPipeline> pipeline = fused_pipeline(options);
+  using Accepted = std::vector<std::pair<std::uint64_t, DesignPoint>>;
 
-  auto body = [&](std::size_t w) {
-    ProcessorCounter counter(set, options, points_count, points_known,
-                             counts_ptr);
-    SpaceChunk chunk;
-    while (feed.draw(kChunk, chunk)) {
-      for (std::size_t i = 0; i < chunk.len; ++i) {
-        const MatI& space = chunk.spaces[i];
-        MappingSolution solution;
-        try {
-          solution = pipeline.score(algo, space);
-        } catch (const std::exception&) {
-          continue;  // defensive: skip degenerate candidates
-        }
-        if (!solution.found) continue;
-        SweepStats scratch;
+  Sweep<Accepted> sweep = run_sweep<Accepted>(
+      algo, options,
+      [&](Accepted& accepted, ProcessorCounter& counter, const MatI& space,
+          std::uint64_t pos) {
+        const std::optional<MappingSolution> solution = score_space(
+            *pipeline, algo, space, MappingPipeline::kNoCap);
+        if (!solution || !solution->found) return;
         DesignPoint point;
         point.space = space;
-        point.pi = solution.pi;
-        point.makespan = solution.makespan;
-        point.cost.processors =
-            *counter.count(space, /*exit_above=*/-1, scratch);
-        point.cost.wire_length =
-            wire_length_sum(space, algo.dependence_matrix());
-        accepted[w].emplace_back(chunk.base + i, std::move(point));
-      }
-    }
-  };
+        point.pi = solution->pi;
+        point.makespan = solution->makespan;
+        point.cost = counter.cost(space, dependence);
+        accepted.emplace_back(pos, std::move(point));
+      });
 
-  if (workers == 1) {
-    body(0);
-  } else {
-    support::ThreadPool pool(workers);
-    pool.run(body);
-  }
-
-  DesignSpaceResult result;
-  result.spaces_tested = feed.produced();
-  std::vector<std::pair<std::uint64_t, DesignPoint>> merged;
-  for (auto& worker_points : accepted) {
-    for (auto& entry : worker_points) merged.push_back(std::move(entry));
+  Accepted merged;
+  for (Accepted& accepted : sweep.workers) {
+    for (auto& entry : accepted) merged.push_back(std::move(entry));
   }
   // Restore the serial visit order before the (unstable) Pareto sort so
   // the sort sees the exact input sequence the seed engine feeds it --
   // that, not stability, is what makes tied orderings bit-identical.
   std::sort(merged.begin(), merged.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  result.feasible_spaces = merged.size();
   std::vector<DesignPoint> points;
   points.reserve(merged.size());
   for (auto& entry : merged) points.push_back(std::move(entry.second));
 
-  // Pareto filter on (makespan, cost.total()) -- verbatim the seed's.
-  std::sort(points.begin(), points.end(),
-            [](const DesignPoint& a, const DesignPoint& b) {
-              if (a.makespan != b.makespan) return a.makespan < b.makespan;
-              return a.cost.total() < b.cost.total();
-            });
-  Int best_cost = 0;
-  bool first = true;
-  for (auto& p : points) {
-    if (first || p.cost.total() < best_cost) {
-      if (!result.pareto.empty() &&
-          result.pareto.back().makespan == p.makespan &&
-          result.pareto.back().cost.total() == p.cost.total()) {
-        continue;
-      }
-      best_cost = p.cost.total();
-      first = false;
-      result.pareto.push_back(std::move(p));
-    }
-  }
+  DesignSpaceResult result;
+  result.spaces_tested = sweep.candidates;
+  result.feasible_spaces = points.size();
+  result.pareto = pareto_filter(std::move(points));
   return result;
 }
 
@@ -824,6 +786,8 @@ JointMappingResult joint_time_optimal_mapping_seed(
     MappingSolution solution;
     try {
       solution = pipeline.find_time_optimal(algo, space);
+    } catch (const exact::ContractViolation&) {
+      throw;  // a library bug, never a degenerate candidate
     } catch (const std::exception&) {
       continue;  // defensive: skip degenerate candidates
     }
@@ -850,61 +814,12 @@ JointMappingResult joint_time_optimal_mapping_seed(
 
 // ---- Joint single-winner query: fused engine -------------------------------
 
-namespace {
-
-// One worker's running joint incumbent: the lexicographic minimum of
-// (objective, total, processors, global position) over the candidates it
-// evaluated -- exactly the seed's "strictly smaller objective, then cost,
-// then first seen wins" update order.
-struct LocalJointBest {
-  bool found = false;
-  Int objective = 0;
-  Int total = 0;
-  std::uint64_t pos = 0;
-  MatI space;
-  VecI pi;
-  Int makespan = 0;
-  mapping::ConflictVerdict verdict;
-  ArrayCost cost;
-  std::uint64_t truncated = 0;
-
-  bool better_than(const LocalJointBest& other) const {
-    if (objective != other.objective) return objective < other.objective;
-    if (total != other.total) return total < other.total;
-    if (cost.processors != other.cost.processors) {
-      return cost.processors < other.cost.processors;
-    }
-    return pos < other.pos;
-  }
-};
-
-}  // namespace
-
 JointMappingResult joint_time_optimal_mapping(
     const model::UniformDependenceAlgorithm& algo,
     const SpaceSearchOptions& options) {
   SYSMAP_SPAN("search.space.joint_time_optimal_mapping");
-  const std::size_t n = algo.dimension();
-  const model::IndexSet& set = algo.index_set();
-  std::uint64_t points_count = 0;
-  bool points_known = true;
-  try {
-    points_count = set.size_u64();
-  } catch (const exact::OverflowError&) {
-    points_known = false;  // disables the injectivity compare only
-  }
-
-  ImageCountCache counts;
-  ImageCountCache* counts_ptr =
-      options.use_orbit_cache ? &counts : nullptr;
-  SpaceFeed feed(n, options);
-  PipelineOptions fused_options;
-  fused_options.design_array = false;
-  MappingPipeline pipeline(fused_options);
-  MappingPipeline::FusionOptions fusion;
-  fusion.verdict_cache = options.verdict_cache;
-  fusion.use_schedule_orbit_cache = options.use_schedule_cache;
-  pipeline.enable_fusion(fusion);
+  const MatI& dependence = algo.dependence_matrix();
+  const std::unique_ptr<MappingPipeline> pipeline = fused_pipeline(options);
 
   // Cross-space incumbent on the schedule objective.  The cap is the best
   // objective FOUND so far and score() treats it inclusively, so a space
@@ -913,82 +828,37 @@ JointMappingResult joint_time_optimal_mapping(
   // truncated space has optimum > cap >= the final minimum, so it could
   // not have won or tied under any interleaving.
   std::atomic<Int> best_objective{kNoIncumbent};
-  const std::size_t workers =
-      options.num_threads <= 1 ? 1 : options.num_threads;
-  std::vector<LocalJointBest> locals(workers);
 
-  auto body = [&](std::size_t w) {
-    LocalJointBest& local = locals[w];
-    ProcessorCounter counter(set, options, points_count, points_known,
-                             counts_ptr);
-    SpaceChunk chunk;
-    SweepStats scratch;
-    while (feed.draw(kChunk, chunk)) {
-      for (std::size_t i = 0; i < chunk.len; ++i) {
-        const MatI& space = chunk.spaces[i];
-        const std::uint64_t pos = chunk.base + i;
-        Int cap = MappingPipeline::kNoCap;
-        if (options.use_branch_and_bound) {
-          const Int incumbent =
-              best_objective.load(std::memory_order_relaxed);
-          if (incumbent != kNoIncumbent) cap = incumbent;
-        }
-        MappingSolution solution;
-        try {
-          solution = pipeline.score(algo, space, cap);
-        } catch (const std::exception&) {
-          continue;  // defensive: skip degenerate candidates
-        }
-        if (!solution.found) {
-          if (solution.truncated_by_cap) ++local.truncated;
-          continue;
-        }
-        atomic_fetch_min(best_objective, solution.objective);
-        LocalJointBest candidate;
-        candidate.found = true;
-        candidate.objective = solution.objective;
-        candidate.pos = pos;
-        candidate.space = space;
-        candidate.pi = std::move(solution.pi);
-        candidate.makespan = solution.makespan;
-        candidate.verdict = std::move(solution.verdict);
-        candidate.cost.processors =
-            *counter.count(space, /*exit_above=*/-1, scratch);
-        candidate.cost.wire_length =
-            wire_length_sum(space, algo.dependence_matrix());
-        candidate.total = exact::add_checked(candidate.cost.processors,
-                                             candidate.cost.wire_length);
-        if (!local.found || candidate.better_than(local)) {
-          candidate.truncated = local.truncated;
-          local = std::move(candidate);
-        }
-      }
-    }
-  };
-
-  if (workers == 1) {
-    body(0);
-  } else {
-    support::ThreadPool pool(workers);
-    pool.run(body);
-  }
+  Sweep<Incumbent> sweep = run_sweep<Incumbent>(
+      algo, options,
+      [&](Incumbent& local, ProcessorCounter& counter, const MatI& space,
+          std::uint64_t pos) {
+        const Int incumbent = best_objective.load(std::memory_order_relaxed);
+        const Int cap =
+            incumbent == kNoIncumbent ? MappingPipeline::kNoCap : incumbent;
+        std::optional<MappingSolution> solution =
+            score_space(*pipeline, algo, space, cap);
+        if (!solution || !solution->found) return;
+        atomic_fetch_min(best_objective, solution->objective);
+        Incumbent candidate(pos, space, counter.cost(space, dependence));
+        candidate.objective = solution->objective;
+        candidate.pi = std::move(solution->pi);
+        candidate.makespan = solution->makespan;
+        candidate.verdict = std::move(solution->verdict);
+        local.offer(std::move(candidate));
+      });
 
   JointMappingResult best;
-  best.spaces_tested = feed.produced();
-  const LocalJointBest* winner = nullptr;
-  for (const LocalJointBest& local : locals) {
-    best.truncated_spaces += local.truncated;
-    if (!local.found) continue;
-    if (winner == nullptr || local.better_than(*winner)) winner = &local;
-  }
-  if (winner != nullptr) {
+  best.spaces_tested = sweep.candidates;
+  Incumbent winner = best_of(sweep.workers);
+  if (winner.found) {
     best.found = true;
-    best.space = winner->space;
-    best.pi = winner->pi;
-    best.objective = winner->objective;
-    best.makespan = winner->makespan;
-    best.verdict = winner->verdict;
-    best.cost = winner->cost;
+    best.space = std::move(winner.space);
+    best.pi = std::move(winner.pi);
+    best.objective = winner.objective;
+    best.makespan = winner.makespan;
+    best.verdict = std::move(winner.verdict);
+    best.cost = winner.cost;
   }
   return best;
 }

@@ -16,19 +16,20 @@
 // entries in [-max_entry, max_entry], full row rank, first nonzero of each
 // row positive (projective dedup), rows pairwise non-parallel.
 //
-// ENGINES.  space_optimal_mapping / explore_design_space run the fast
-// engine: lazy candidate enumeration (SpaceEnumerator), incremental
+// ENGINES.  space_optimal_mapping, explore_design_space and
+// joint_time_optimal_mapping run the fast engine, one code path each on a
+// shared sweep driver: lazy candidate enumeration (SpaceEnumerator),
 // packed-image counting (support/flat_image_set.hpp), a closed-form
 // injectivity shortcut via the kernel lattice, orbit-canonical processor
 // count reuse (mapping::canonical_space_orbit_key), wire-first
 // branch-and-bound pruning and an optional deterministic parallel sweep.
-// space_optimal_mapping_seed / explore_design_space_seed preserve the
-// original serial std::set engines verbatim.  The two are BIT-IDENTICAL
-// in (found, space, cost, verdict, candidates_tested) respectively
-// (pareto, spaces_tested, feasible_spaces) for every option combination
-// and thread count -- tests/space_search_test.cpp holds the pair equal
-// case by case.  Only the advisory counters (cache/orbit/prune stats) may
-// differ between engines, modes and interleavings.
+// The *_seed functions preserve the original serial std::set engines
+// verbatim.  Each pair is BIT-IDENTICAL in (found, space, cost, verdict,
+// candidates_tested), respectively (pareto, spaces_tested,
+// feasible_spaces), for every verdict-cache setting and thread count --
+// tests/space_search_test.cpp and tests/pipeline_parity_test.cpp hold the
+// pairs equal case by case.  How often each shortcut fired is advisory
+// and lives in the search.space.* obs counters (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstdint>
@@ -55,35 +56,13 @@ struct SpaceSearchOptions {
   /// The Problem 6.1 sweep holds Pi fixed and varies S, so distinct
   /// candidates frequently share a canonical conflict form (e.g. scaled or
   /// permuted rows) -- exactly the cross-S reuse the cache keys capture.
-  /// Results stay bit-identical; only the counters below observe it.
+  /// Results stay bit-identical; only VerdictCache::stats() observes it.
   VerdictCache* verdict_cache = nullptr;
 
   /// Workers for the candidate sweep; <= 1 runs the sweep inline on the
   /// caller thread.  Results are bit-identical for every thread count:
   /// the parallel reduction reproduces the serial incumbent order.
   std::size_t num_threads = 1;
-  /// Count processors by the packed-image walk (plus the kernel-lattice
-  /// injectivity shortcut) instead of support::count_images_generic.
-  /// Both are exact; this is purely a speed switch for benchmarking.
-  bool use_incremental_count = true;
-  /// Reuse processor counts across candidates in the same cost orbit
-  /// (mapping::canonical_space_orbit_key).  Exact by the orbit-invariance
-  /// argument documented there.
-  bool use_orbit_cache = true;
-  /// Wire-first branch-and-bound: skip candidates whose wire length plus
-  /// a per-row processor lower bound already exceeds the incumbent total
-  /// strictly, and cut image walks short once the running count alone
-  /// loses strictly.  Never fires on ties, so the seed tie-break order
-  /// (fewer processors at equal total, then first-seen) is preserved.
-  /// joint_time_optimal_mapping additionally gates its cross-space
-  /// schedule-objective incumbent (strict-only as well) on this flag.
-  bool use_branch_and_bound = true;
-  /// Fused sweeps only (explore_design_space, joint_time_optimal_mapping):
-  /// reuse certified optimal schedule objectives across candidate spaces
-  /// in the same schedule orbit (mapping::canonical_space_schedule_key).
-  /// Bit-identical -- an orbit hit re-runs the search seeded at the
-  /// certified optimum, reproducing the cold winner and statistics.
-  bool use_schedule_cache = true;
 };
 
 struct ArrayCost {
@@ -100,32 +79,23 @@ struct SpaceSearchResult {
   ArrayCost cost;
   mapping::ConflictVerdict verdict;
   std::uint64_t candidates_tested = 0;
-  /// Verdict-cache traffic attributable to this sweep (counter deltas);
-  /// zero when no cache was supplied.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  /// Advisory fast-engine statistics, EXCLUDED from the bit-identical
-  /// contract (they depend on mode flags and parallel interleaving):
-  /// processor counts served by the orbit cache, candidates skipped by the
-  /// wire+lower-bound prune, image walks cut short by the incumbent bound,
-  /// and processor counts decided by the closed-form injectivity test.
-  std::uint64_t orbit_hits = 0;
-  std::uint64_t bnb_pruned = 0;
-  std::uint64_t walks_early_exited = 0;
-  std::uint64_t injective_shortcuts = 0;
 };
 
 /// Problem 6.1: best S for a fixed Pi.  Minimizes processors + wire among
 /// conflict-free full-rank T = [S; Pi].  Fast engine; bit-identical to
 /// space_optimal_mapping_seed in (found, space, cost, verdict,
-/// candidates_tested).
+/// candidates_tested).  Wire-first branch-and-bound skips candidates whose
+/// wire length plus a per-row processor lower bound already exceeds the
+/// incumbent total strictly, and cuts image walks short once the running
+/// count alone loses strictly; neither fires on ties, so the seed
+/// tie-break order (fewer processors at equal total, then first seen)
+/// is preserved.
 SpaceSearchResult space_optimal_mapping(
     const model::UniformDependenceAlgorithm& algo, const VecI& pi,
     const SpaceSearchOptions& options = {});
 
 /// The original serial engine, preserved verbatim as the parity oracle
-/// for tests and the "seed" bench mode.  Ignores the fast-engine option
-/// flags (num_threads, use_*).
+/// for tests and the "seed" bench mode.  Ignores num_threads.
 SpaceSearchResult space_optimal_mapping_seed(
     const model::UniformDependenceAlgorithm& algo, const VecI& pi,
     const SpaceSearchOptions& options = {});
@@ -148,9 +118,11 @@ struct DesignSpaceResult {
 
 /// Problem 6.2: sweep candidate S, find each one's time-optimal
 /// conflict-free Pi (Procedure 5.1 / ILP via the Mapper), and keep the
-/// Pareto frontier of (makespan, array cost).  Fast engine (parallel
-/// sweep + fast cost evaluation); bit-identical to
-/// explore_design_space_seed.
+/// Pareto frontier of (makespan, array cost).  Fast engine: one fused
+/// MappingPipeline scores every space (shared verdict cache, certified
+/// objectives reused across each schedule orbit,
+/// mapping::canonical_space_schedule_key), plus the parallel sweep and
+/// fast cost evaluation; bit-identical to explore_design_space_seed.
 DesignSpaceResult explore_design_space(
     const model::UniformDependenceAlgorithm& algo,
     const SpaceSearchOptions& options = {});
@@ -174,10 +146,6 @@ struct JointMappingResult {
   mapping::ConflictVerdict verdict;
   ArrayCost cost;
   std::uint64_t spaces_tested = 0;
-  /// Advisory, fast engine only: spaces whose schedule search the
-  /// incumbent objective cut short (their optimum provably exceeds the
-  /// winner's).  EXCLUDED from the bit-identical contract.
-  std::uint64_t truncated_spaces = 0;
 };
 
 /// Fused joint query: one MappingPipeline persists across every candidate
@@ -186,7 +154,9 @@ struct JointMappingResult {
 /// are never truncated, so cost tie-breaks and the serial winner survive),
 /// and the sweep parallelizes over spaces with a deterministic
 /// (objective, total, processors, pos) reduction -- bit-identical to
-/// joint_time_optimal_mapping_seed for every thread count and cache flag.
+/// joint_time_optimal_mapping_seed for every thread count and verdict
+/// cache.  Spaces the cap cut short are counted by the
+/// search.pipeline.truncated_by_cap obs counter.
 JointMappingResult joint_time_optimal_mapping(
     const model::UniformDependenceAlgorithm& algo,
     const SpaceSearchOptions& options = {});
@@ -196,13 +166,6 @@ JointMappingResult joint_time_optimal_mapping(
 JointMappingResult joint_time_optimal_mapping_seed(
     const model::UniformDependenceAlgorithm& algo,
     const SpaceSearchOptions& options = {});
-
-/// Paper-facing name for the Problem 6.2 frontier sweep.
-inline DesignSpaceResult pareto_front(
-    const model::UniformDependenceAlgorithm& algo,
-    const SpaceSearchOptions& options = {}) {
-  return explore_design_space(algo, options);
-}
 
 /// Exact array cost of a given S on J (exposed for tests and benches).
 /// Counts with support::count_images_generic, the std::set walk, so the

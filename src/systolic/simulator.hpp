@@ -32,7 +32,9 @@
 // tests/simulator_parity_test.cpp holds the pair equal case by case.
 // When a coordinate box does not pack into uint64 (or the index set or
 // cycle range leaves the flat regime), the engine transparently falls
-// back to the seed path, so simulate() never changes meaning.
+// back to the seed path, so simulate() never changes meaning; the parity
+// suite reaches that fallback with a real design whose cycle range
+// exceeds the flat engine's cap.
 #pragma once
 
 #include <cstdint>
@@ -103,9 +105,6 @@ struct SimulationOptions {
   /// Workers for the conflict/link/buffer passes (support::ThreadPool).
   /// 1 keeps everything on the calling thread.
   std::size_t num_threads = 1;
-  /// Skip the packed flat path and run the tree-map fallback (the seed
-  /// algorithm); used by the parity tests to exercise the fallback oracle.
-  bool force_fallback = false;
 };
 
 /// Structural simulation (no values).

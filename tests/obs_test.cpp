@@ -15,6 +15,7 @@
 #include "model/gallery.hpp"
 #include "opt/ilp.hpp"
 #include "search/procedure51.hpp"
+#include "search/space_optimal.hpp"
 #include "support/flat_image_set.hpp"
 #include "support/thread_pool.hpp"
 
@@ -243,6 +244,27 @@ TEST(ObsTest, ConeWalkCountersRecordOncePerCall) {
   EXPECT_EQ(visited.events, 1u);
   EXPECT_EQ(skipped.total, 84u);
   EXPECT_EQ(skipped.events, 1u);
+}
+
+TEST(ObsTest, SpaceSweepCountersRecordEachShortcut) {
+  if (!obs::kEnabled) GTEST_SKIP() << "SYSMAP_OBS=OFF build";
+  // The serial Problem 6.1 sweep over matmul(12)'s 49 max_entry = 2
+  // candidates: 4 processor counts come from the orbit cache, 18
+  // candidates fall to the wire + lower-bound prune, 10 image walks stop
+  // at the incumbent bound, and the boxes are too small for the
+  // injectivity shortcut.
+  search::SpaceSearchOptions options;
+  options.max_entry = 2;
+  obs::reset();
+  const search::SpaceSearchResult r = search::space_optimal_mapping(
+      model::matmul(12), VecI{1, 12, 1}, options);
+  ASSERT_TRUE(r.found);
+  ASSERT_EQ(r.candidates_tested, 49u);
+  const std::vector<obs::Metric> all = obs::snapshot();
+  EXPECT_EQ(find_metric(all, "search.space.orbit_hits").total, 4u);
+  EXPECT_EQ(find_metric(all, "search.space.bnb_pruned").total, 18u);
+  EXPECT_EQ(find_metric(all, "search.space.walks_early_exited").total, 10u);
+  EXPECT_EQ(find_metric(all, "search.space.injective_shortcuts").total, 0u);
 }
 
 TEST(ObsTest, TableFormatsEveryMetric) {

@@ -9,7 +9,8 @@
 //  - thread counts {1, 2, 7, hardware_concurrency} (also the TSan job's
 //    workload: any cross-thread race in the engine's chunked passes shows
 //    up here),
-//  - the packed flat path and the forced tree-map fallback,
+//  - the packed flat path and, through a design whose cycle range exceeds
+//    the flat engine's cap, the seed fallback inside simulate(),
 // plus a randomized small-case sweep against an independent brute-force
 // recount of PE/time conflicts and wire collisions written directly in
 // this file (so engine and seed cannot share a bug with the oracle).
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "model/gallery.hpp"
+#include "obs/obs.hpp"
 #include "schedule/interconnect.hpp"
 #include "systolic/array.hpp"
 #include "systolic/simulator.hpp"
@@ -140,16 +142,43 @@ TEST(SimulatorParity, GalleryDesignsAcrossThreadCountsAndPaths) {
   for (const ParityCase& pc : gallery_cases()) {
     const SimulationReport seed = simulate_seed(pc.algo, pc.design);
     for (std::size_t threads : parity_thread_counts()) {
-      for (bool fallback : {false, true}) {
-        SimulationOptions options;
-        options.num_threads = threads;
-        options.force_fallback = fallback;
-        const SimulationReport fast = simulate(pc.algo, pc.design, options);
-        std::ostringstream label;
-        label << pc.name << " threads=" << threads
-              << (fallback ? " fallback" : " packed");
-        expect_reports_equal(seed, fast, label.str());
-      }
+      SimulationOptions options;
+      options.num_threads = threads;
+      const SimulationReport fast = simulate(pc.algo, pc.design, options);
+      expect_reports_equal(seed, fast,
+                           pc.name + " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+std::uint64_t seed_fallbacks() {
+  for (const obs::Metric& m : obs::snapshot()) {
+    if (m.name == "systolic.seed_fallbacks") return m.total;
+  }
+  return 0;
+}
+
+TEST(SimulatorParity, SeedFallbackBeyondTheFlatCycleCap) {
+  // Pi = (1, 1, 2^21) spreads matmul(2)'s 27 points over 4,194,309
+  // cycles, past the flat engine's 2^20 cycle cap: FlatPlan::build
+  // declines, so simulate() runs its seed fallback, which must agree with
+  // simulate_seed at every thread count.
+  const model::UniformDependenceAlgorithm algo = model::matmul(2);
+  const ArrayDesign design = design_dedicated_array(
+      algo, mapping::MappingMatrix(MatI{{1, 1, -1}}, VecI{1, 1, Int{1} << 21}));
+  const SimulationReport seed = simulate_seed(algo, design);
+  EXPECT_EQ(seed.makespan, 4194309);
+  EXPECT_EQ(seed.total_conflicts, 12u);
+  EXPECT_EQ(seed.total_collisions, 18u);
+  for (std::size_t threads : parity_thread_counts()) {
+    SimulationOptions options;
+    options.num_threads = threads;
+    const std::uint64_t before = seed_fallbacks();
+    const SimulationReport fast = simulate(algo, design, options);
+    const std::string label = "threads=" + std::to_string(threads);
+    expect_reports_equal(seed, fast, label);
+    if (obs::kEnabled) {
+      EXPECT_EQ(seed_fallbacks(), before + 1) << label;
     }
   }
 }
@@ -194,16 +223,11 @@ TEST(SimulatorParity, ValueExecutionMatchesSeed) {
     const SimulationReport seed = simulate_seed(sc.sem, design);
     EXPECT_TRUE(seed.values_checked);
     for (std::size_t threads : parity_thread_counts()) {
-      for (bool fallback : {false, true}) {
-        SimulationOptions options;
-        options.num_threads = threads;
-        options.force_fallback = fallback;
-        const SimulationReport fast = simulate(sc.sem, design, options);
-        std::ostringstream label;
-        label << sc.name << " threads=" << threads
-              << (fallback ? " fallback" : " packed");
-        expect_reports_equal(seed, fast, label.str());
-      }
+      SimulationOptions options;
+      options.num_threads = threads;
+      const SimulationReport fast = simulate(sc.sem, design, options);
+      expect_reports_equal(seed, fast,
+                           sc.name + " threads=" + std::to_string(threads));
     }
   }
 }
@@ -322,18 +346,14 @@ TEST(SimulatorParity, RandomizedSmallCasesAgainstBruteForceOracle) {
     EXPECT_EQ(seed.total_conflicts, oracle.conflicts) << label.str();
     EXPECT_EQ(seed.total_collisions, oracle.collisions) << label.str();
     for (std::size_t threads : parity_thread_counts()) {
-      for (bool fallback : {false, true}) {
-        SimulationOptions options;
-        options.num_threads = threads;
-        options.force_fallback = fallback;
-        const SimulationReport fast = simulate(algo, *design, options);
-        std::ostringstream sub;
-        sub << label.str() << " threads=" << threads
-            << (fallback ? " fallback" : " packed");
-        expect_reports_equal(seed, fast, sub.str());
-        EXPECT_EQ(fast.total_conflicts, oracle.conflicts) << sub.str();
-        EXPECT_EQ(fast.total_collisions, oracle.collisions) << sub.str();
-      }
+      SimulationOptions options;
+      options.num_threads = threads;
+      const SimulationReport fast = simulate(algo, *design, options);
+      const std::string sub =
+          label.str() + " threads=" + std::to_string(threads);
+      expect_reports_equal(seed, fast, sub);
+      EXPECT_EQ(fast.total_conflicts, oracle.conflicts) << sub;
+      EXPECT_EQ(fast.total_collisions, oracle.collisions) << sub;
     }
   }
   EXPECT_EQ(accepted, 25u) << "random design generator starved after "
