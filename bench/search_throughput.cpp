@@ -1,21 +1,22 @@
-// SEARCH-THROUGHPUT -- ablation of the Procedure 5.1 search paths.
+// SEARCH-THROUGHPUT -- Procedure 5.1 with and without the verdict cache.
 //
-// Runs Procedure 5.1 END TO END (cone walk, dependence screen, rank test,
-// conflict oracle, first-hit-optimal abort) for each gallery workload and
-// oracle, across three modes:
-//   seed       from-scratch scan (no FixedSpaceContext)
-//   ctx        scan + fixed-S context (the default path)
+// Runs Procedure 5.1 END TO END (cone walk, dependence screen, fixed-S
+// context screen, conflict oracle, first-hit-optimal abort) for each
+// gallery workload and oracle, in two modes:
+//   ctx        the search as shipped (FixedSpaceContext screen)
 //   ctx_cache  ctx + canonical-form verdict cache
-// All modes are bit-identical by construction -- this harness asserts pi,
-// objective, verdict rule and candidate statistics agree before reporting
-// any number -- and a final multi-S sweep shares one cache across scaled
-// and permuted space parts to demonstrate (and assert) cross-search hits.
+// Both modes are bit-identical by construction -- this harness asserts
+// every SearchResult field agrees (operator==) before reporting any
+// number -- and a final multi-S sweep shares one cache across scaled and
+// permuted space parts to demonstrate (and assert) cross-search hits.
+// Cache hit/miss counts are deltas of the bench-owned cache's stats().
 //
 // Output: a human-readable table on stdout and JSON lines (one object per
 // case/oracle/mode with cache counters, plus speedup summary objects)
 // written to $SYSMAP_BENCH_JSON or BENCH_search.json.  Set
 // SYSMAP_BENCH_SMOKE=1 for a single-rep quick pass (CI smoke).
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -52,14 +53,14 @@ std::string oracle_name(search::ConflictOracle oracle) {
 struct Timing {
   double ms = 0;
   search::SearchResult result;
+  std::uint64_t hits = 0;  ///< verdict-cache stats() delta of the timed rep
+  std::uint64_t misses = 0;
 };
 
-enum class Mode { kSeed, kCtx, kCtxCache };
+enum class Mode { kCtx, kCtxCache };
 
 const char* mode_name(Mode m) {
   switch (m) {
-    case Mode::kSeed:
-      return "seed";
     case Mode::kCtx:
       return "ctx";
     case Mode::kCtxCache:
@@ -68,14 +69,16 @@ const char* mode_name(Mode m) {
   return "?";
 }
 
-Timing run_mode(const Case& c, search::ConflictOracle oracle, Mode mode,
-                int reps, search::VerdictCache* cache = nullptr) {
+/// Mode::kCtx without a cache, Mode::kCtxCache with one.
+Timing run_mode(const Case& c, search::ConflictOracle oracle, int reps,
+                search::VerdictCache* cache = nullptr) {
   search::SearchOptions opts;
   opts.oracle = oracle;
-  opts.use_fixed_space_context = mode != Mode::kSeed;
-  if (mode == Mode::kCtxCache) opts.verdict_cache = cache;
+  opts.verdict_cache = cache;
   Timing best;
   for (int rep = 0; rep < reps; ++rep) {
+    const search::VerdictCache::Stats s0 =
+        cache ? cache->stats() : search::VerdictCache::Stats{};
     auto t0 = std::chrono::steady_clock::now();
     search::SearchResult r = search::procedure_5_1(c.algo, c.space, opts);
     auto t1 = std::chrono::steady_clock::now();
@@ -83,17 +86,14 @@ Timing run_mode(const Case& c, search::ConflictOracle oracle, Mode mode,
     if (rep == 0 || ms < best.ms) {
       best.ms = ms;
       best.result = std::move(r);
+      if (cache) {
+        const search::VerdictCache::Stats s1 = cache->stats();
+        best.hits = s1.hits - s0.hits;
+        best.misses = s1.misses - s0.misses;
+      }
     }
   }
   return best;
-}
-
-bool identical(const search::SearchResult& a, const search::SearchResult& b) {
-  return a.found == b.found && a.pi == b.pi && a.objective == b.objective &&
-         a.makespan == b.makespan && a.verdict.status == b.verdict.status &&
-         a.verdict.rule == b.verdict.rule &&
-         a.candidates_tested == b.candidates_tested &&
-         a.candidates_passed_dependence == b.candidates_passed_dependence;
 }
 
 void emit_json(std::ostream& json, const Case& c,
@@ -111,8 +111,8 @@ void emit_json(std::ostream& json, const Case& c,
        << ",\"candidates_tested\":" << t.result.candidates_tested
        << ",\"passed_dependence\":" << t.result.candidates_passed_dependence
        << ",\"candidates_per_sec\":" << cps
-       << ",\"cache_hits\":" << t.result.cache_hits
-       << ",\"cache_misses\":" << t.result.cache_misses
+       << ",\"cache_hits\":" << t.hits
+       << ",\"cache_misses\":" << t.misses
        << ",\"found\":" << (t.result.found ? "true" : "false")
        << ",\"objective\":" << t.result.objective << "}\n";
 }
@@ -164,8 +164,8 @@ int main(int argc, char** /*argv*/) {
   };
 
   std::cout << "SEARCH-THROUGHPUT: end-to-end procedure_5_1 search paths\n";
-  std::cout << "case                      oracle          cands     seed_ms  "
-               "ctx_ms   cache_ms  ctx/cache  hits/misses\n";
+  std::cout << "case                      oracle          cands     ctx_ms   "
+               "cache_ms  ctx/cache  hits/misses\n";
 
   bool all_parity_ok = true;
   for (const Case& c : cases) {
@@ -177,18 +177,15 @@ int main(int argc, char** /*argv*/) {
       if (!smoke) {
         // Calibrate on one ctx run so every mode repeats long enough to
         // time stably, then keep the count identical across modes.
-        Timing probe = run_mode(c, oracle, Mode::kCtx, 1);
+        Timing probe = run_mode(c, oracle, 1);
         reps = probe.ms >= 50
                    ? 3
                    : static_cast<int>(50 / (probe.ms + 0.01)) + 3;
       }
-      Timing seed = run_mode(c, oracle, Mode::kSeed, reps);
-      Timing ctx = run_mode(c, oracle, Mode::kCtx, reps);
+      Timing ctx = run_mode(c, oracle, reps);
       search::VerdictCache cache;
-      Timing cached = run_mode(c, oracle, Mode::kCtxCache, reps, &cache);
-      bool ok = identical(seed.result, ctx.result) &&
-                identical(seed.result, cached.result);
-      if (!ok) {
+      Timing cached = run_mode(c, oracle, reps, &cache);
+      if (ctx.result != cached.result) {
         std::cerr << "PARITY VIOLATION in " << c.name << "/"
                   << oracle_name(oracle) << "\n";
         all_parity_ok = false;
@@ -203,20 +200,18 @@ int main(int argc, char** /*argv*/) {
       for (std::size_t p = c.name.size(); p < 26; ++p) row << ' ';
       row << oracle_name(oracle);
       for (std::size_t p = oracle_name(oracle).size(); p < 16; ++p) row << ' ';
-      row << seed.result.candidates_tested << "/"
-          << seed.result.candidates_passed_dependence << "  " << seed.ms
-          << "  " << ctx.ms << "  " << cached.ms << "  ";
+      row << ctx.result.candidates_tested << "/"
+          << ctx.result.candidates_passed_dependence << "  " << ctx.ms
+          << "  " << cached.ms << "  ";
       row.precision(2);
-      row << cache_speedup << "x  " << cached.result.cache_hits << "/"
-          << cached.result.cache_misses;
+      row << cache_speedup << "x  " << cached.hits << "/"
+          << cached.misses;
       std::cout << row.str() << "\n";
 
-      emit_json(json, c, oracle, Mode::kSeed, seed);
       emit_json(json, c, oracle, Mode::kCtx, ctx);
       emit_json(json, c, oracle, Mode::kCtxCache, cached);
       json << "{\"case\":\"" << c.name << "\",\"oracle\":\""
            << oracle_name(oracle) << "\""
-           << ",\"ctx_vs_seed\":" << (ctx.ms > 0 ? seed.ms / ctx.ms : 0)
            << ",\"ctx_cache_vs_ctx\":" << cache_speedup << "}\n";
       json.flush();
     }
@@ -237,28 +232,25 @@ int main(int argc, char** /*argv*/) {
     search::VerdictCache cache;
     search::SearchOptions opts;
     opts.verdict_cache = &cache;
-    std::uint64_t sweep_hits = 0;
-    std::uint64_t sweep_misses = 0;
     auto t0 = std::chrono::steady_clock::now();
     bool sweep_parity = true;
     for (const MatI& space : spaces) {
       search::SearchResult r = search::procedure_5_1(algo, space, opts);
       search::SearchResult plain = search::procedure_5_1(algo, space, {});
-      sweep_parity = sweep_parity && identical(plain, r);
-      sweep_hits += r.cache_hits;
-      sweep_misses += r.cache_misses;
+      sweep_parity = sweep_parity && plain == r;
     }
     auto t1 = std::chrono::steady_clock::now();
+    const search::VerdictCache::Stats sweep = cache.stats();
     double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    std::cout << "multi_S_sweep             shared cache    " << sweep_hits
-              << " hits / " << sweep_misses << " misses over "
+    std::cout << "multi_S_sweep             shared cache    " << sweep.hits
+              << " hits / " << sweep.misses << " misses over "
               << spaces.size() << " spaces\n";
     json << "{\"sweep\":\"multi_s\",\"spaces\":" << spaces.size()
          << ",\"ms\":" << ms
-         << ",\"cache_hits\":" << sweep_hits
-         << ",\"cache_misses\":" << sweep_misses
+         << ",\"cache_hits\":" << sweep.hits
+         << ",\"cache_misses\":" << sweep.misses
          << ",\"parity\":" << (sweep_parity ? "true" : "false") << "}\n";
-    if (!sweep_parity || sweep_hits == 0) {
+    if (!sweep_parity || sweep.hits == 0) {
       std::cerr << (sweep_parity ? "NO CACHE HITS in multi-S sweep"
                                  : "PARITY VIOLATION in multi-S sweep")
                 << "\n";

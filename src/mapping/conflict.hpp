@@ -47,6 +47,9 @@ struct ConflictVerdict {
   bool conflict_free() const {
     return status == Status::kConflictFree;
   }
+
+  friend bool operator==(const ConflictVerdict&,
+                         const ConflictVerdict&) = default;
 };
 
 /// Exact decision by bounded enumeration of the kernel lattice of T

@@ -47,6 +47,8 @@ struct Routing {
   VecI delays;          ///< per-dependence Pi d_i
   VecI buffers;         ///< delays - hops (>= 0)
   Int total_buffers() const;
+
+  friend bool operator==(const Routing&, const Routing&) = default;
 };
 
 /// Finds a minimum-hop K with S D = P K, k_{ji} >= 0 and column sums

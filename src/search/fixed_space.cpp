@@ -407,12 +407,6 @@ struct FixedSpaceContext::Impl {
         space(space_in),
         k(space_in.rows() + 1),
         n(set_in.dimension()) {
-    if (space.cols() != n) {
-      throw std::invalid_argument("FixedSpaceContext: S width must equal n");
-    }
-    if (k > n) {
-      throw std::invalid_argument("FixedSpaceContext: k must not exceed n");
-    }
     try {
       checked = build<CheckedInt>(space, n);
     } catch (const exact::OverflowError&) {
@@ -479,167 +473,6 @@ bool FixedSpaceContext::has_full_rank(const VecI& pi) const {
         return linalg::bareiss_row_independent(im.big().echelon,
                                                lift_vec<BigInt>(pi));
       });
-}
-
-std::optional<ConflictVerdict> FixedSpaceContext::accept(
-    ConflictOracle oracle, const VecI& pi, VerdictCache* cache) const {
-  const Impl& im = *impl_;
-  if (oracle != ConflictOracle::kBruteForce && im.k + 1 == im.n) {
-    if (cache != nullptr) {
-      // Memoized variant: gamma feeds the canonical-ray key first, then
-      // the same Theorem 2.2 decision; outcomes are bit-identical (see
-      // thm31_cached) so the cache is purely an observability/reuse layer.
-      if (im.cofactor_raw) {
-        Int gamma[kRawScreenMaxN];
-        if (cross_product_raw(*im.cofactor_raw, pi, gamma)) {
-          bool all_zero = true;
-          bool canon_safe = true;  // |INT64_MIN| would trap in gcd/negate
-          for (std::size_t i = 0; i < im.n; ++i) {
-            if (gamma[i] != 0) all_zero = false;
-            if (gamma[i] == INT64_MIN) canon_safe = false;
-          }
-          if (all_zero) {
-            throw std::domain_error("unique_conflict_vector: rank(T) < n-1");
-          }
-          if (canon_safe) {
-            return thm31_cached(vec_from_raw(gamma, im.n), im.set, oracle,
-                                *cache);
-          }
-        }
-      }
-      return exact::with_fallback(
-          [&]() -> std::optional<ConflictVerdict> {
-            if (!im.checked || !im.checked->cofactor) {
-              throw exact::OverflowError("fixed-space: no checked cofactor");
-            }
-            thread_local linalg::Vector<CheckedInt> gamma;
-            if (!cross_product_into(*im.checked->cofactor, pi, gamma)) {
-              throw std::domain_error(
-                  "unique_conflict_vector: rank(T) < n-1");
-            }
-            VecI raw(gamma.size());
-            for (std::size_t i = 0; i < gamma.size(); ++i) {
-              raw[i] = gamma[i].value();
-            }
-            return thm31_cached(raw, im.set, oracle, *cache);
-          },
-          [&]() -> std::optional<ConflictVerdict> {
-            linalg::Vector<BigInt> gamma;
-            if (!cross_product_into(*im.big().cofactor, pi, gamma)) {
-              throw std::domain_error(
-                  "unique_conflict_vector: rank(T) < n-1");
-            }
-            return thm31_cached(gamma, im.set, oracle, *cache);
-          });
-    }
-    // Hot path of the gallery: Theorem 3.1 with the Prop 3.2 closed form.
-    // Rejected candidates return nullopt WITHOUT materializing the rule
-    // string or BigInt witness -- they dominate the sweep.
-    if (im.cofactor_raw) {
-      std::optional<Thm31Screen> s =
-          theorem_3_1_screen_raw(*im.cofactor_raw, pi, im.set);
-#if SYSMAP_CONTRACTS_ACTIVE
-      if (s) {
-        // Same parity contract as screen(): a raw verdict must match the
-        // exact oracle bit for bit.
-        linalg::Vector<BigInt> gamma_big;
-        Thm31Screen exact_s =
-            theorem_3_1_screen(*im.big().cofactor, pi, im.set, gamma_big);
-        SYSMAP_CONTRACT(*s == exact_s,
-                        "raw accept verdict "
-                            // SYSMAP_NARROWING_OK: enum streamed as int.
-                            << static_cast<int>(*s)
-                            << " diverges from BigInt oracle verdict "
-                            // SYSMAP_NARROWING_OK: enum streamed as int.
-                            << static_cast<int>(exact_s));
-      }
-#endif
-      if (!s) {  // int64 overflow: exact restart, as with_fallback would
-        linalg::Vector<BigInt> gamma;
-        s = theorem_3_1_screen(*im.big().cofactor, pi, im.set, gamma);
-      }
-      switch (*s) {
-        case Thm31Screen::kRankDeficient:
-          // Same throw as the seed's unique_conflict_vector_t when
-          // rank(T) < n-1 (unreachable after the rank screen).
-          throw std::domain_error("unique_conflict_vector: rank(T) < n-1");
-        case Thm31Screen::kConflict:
-          return std::nullopt;
-        case Thm31Screen::kFeasible:
-          break;
-      }
-      return mapping::detail::verdict(
-          ConflictVerdict::Status::kConflictFree,
-          "Theorem 3.1: unique conflict vector feasible");
-    }
-    return exact::with_fallback(
-        [&]() -> std::optional<ConflictVerdict> {
-          if (!im.checked || !im.checked->cofactor) {
-            throw exact::OverflowError("fixed-space: no checked cofactor");
-          }
-          thread_local linalg::Vector<CheckedInt> gamma;
-          switch (theorem_3_1_screen(*im.checked->cofactor, pi, im.set,
-                                     gamma)) {
-            case Thm31Screen::kRankDeficient:
-              // Same throw as the seed's unique_conflict_vector_t when
-              // rank(T) < n-1 (unreachable after the rank screen).
-              throw std::domain_error(
-                  "unique_conflict_vector: rank(T) < n-1");
-            case Thm31Screen::kConflict:
-              return std::nullopt;
-            case Thm31Screen::kFeasible:
-              break;
-          }
-          return mapping::detail::verdict(
-              ConflictVerdict::Status::kConflictFree,
-              "Theorem 3.1: unique conflict vector feasible");
-        },
-        [&]() -> std::optional<ConflictVerdict> {
-          linalg::Vector<BigInt> gamma;
-          switch (theorem_3_1_screen(*im.big().cofactor, pi, im.set, gamma)) {
-            case Thm31Screen::kRankDeficient:
-              throw std::domain_error(
-                  "unique_conflict_vector: rank(T) < n-1");
-            case Thm31Screen::kConflict:
-              return std::nullopt;
-            case Thm31Screen::kFeasible:
-              break;
-          }
-          return mapping::detail::verdict(
-              ConflictVerdict::Status::kConflictFree,
-              "Theorem 3.1: unique conflict vector feasible");
-        });
-  }
-  if (cache != nullptr && oracle != ConflictOracle::kBruteForce &&
-      im.k + 2 <= im.n) {
-    // Memoized k <= n-2: the warm-started HNF still runs per candidate
-    // (it is what the key is extracted from), but a hit skips the whole
-    // verdict tail -- the theorem ladder under kPaperTheorems, LLL plus
-    // lattice enumeration under kExact.
-    const bool have_prefix = im.checked ? im.checked->prefix.has_value()
-                                        : im.big().prefix.has_value();
-    if (have_prefix) {
-      return exact::with_fallback(
-          [&]() -> std::optional<ConflictVerdict> {
-            if (!im.checked || !im.checked->prefix) {
-              throw exact::OverflowError("fixed-space: no checked HNF prefix");
-            }
-            lattice::BasicHnfResult<CheckedInt> hnf =
-                lattice::detail::hermite_extend_row_t(
-                    *im.checked->prefix, lift_vec<CheckedInt>(pi));
-            return hnf_cached_accept(oracle, hnf, im.k, im.n, im.set, *cache);
-          },
-          [&]() -> std::optional<ConflictVerdict> {
-            lattice::BasicHnfResult<BigInt> hnf =
-                lattice::detail::hermite_extend_row_t(*im.big().prefix,
-                                                      lift_vec<BigInt>(pi));
-            return hnf_cached_accept(oracle, hnf, im.k, im.n, im.set, *cache);
-          });
-    }
-  }
-  ConflictVerdict v = verdict(oracle, pi);
-  if (v.status != ConflictVerdict::Status::kConflictFree) return std::nullopt;
-  return v;
 }
 
 std::optional<ConflictVerdict> FixedSpaceContext::screen(
@@ -748,8 +581,40 @@ std::optional<ConflictVerdict> FixedSpaceContext::screen(
           }
         });
   }
+  // k <= n-2, k = n, or brute force: the echelon rank replay decides
+  // Step 5(2), then the full verdict decides 5(3).  Brute force never
+  // touches the cache; verdict() routes it to enumeration_conflicts.
   if (!has_full_rank(pi)) return std::nullopt;
-  return accept(oracle, pi, cache);
+  if (cache != nullptr && oracle != ConflictOracle::kBruteForce &&
+      im.k + 2 <= im.n) {
+    // Memoized k <= n-2: the warm-started HNF still runs per candidate
+    // (it is what the key is extracted from), but a hit skips the whole
+    // verdict tail -- the theorem ladder under kPaperTheorems, LLL plus
+    // lattice enumeration under kExact.
+    const bool have_prefix = im.checked ? im.checked->prefix.has_value()
+                                        : im.big().prefix.has_value();
+    if (have_prefix) {
+      return exact::with_fallback(
+          [&]() -> std::optional<ConflictVerdict> {
+            if (!im.checked || !im.checked->prefix) {
+              throw exact::OverflowError("fixed-space: no checked HNF prefix");
+            }
+            lattice::BasicHnfResult<CheckedInt> hnf =
+                lattice::detail::hermite_extend_row_t(
+                    *im.checked->prefix, lift_vec<CheckedInt>(pi));
+            return hnf_cached_accept(oracle, hnf, im.k, im.n, im.set, *cache);
+          },
+          [&]() -> std::optional<ConflictVerdict> {
+            lattice::BasicHnfResult<BigInt> hnf =
+                lattice::detail::hermite_extend_row_t(*im.big().prefix,
+                                                      lift_vec<BigInt>(pi));
+            return hnf_cached_accept(oracle, hnf, im.k, im.n, im.set, *cache);
+          });
+    }
+  }
+  ConflictVerdict v = verdict(oracle, pi);
+  if (v.status != ConflictVerdict::Status::kConflictFree) return std::nullopt;
+  return v;
 }
 
 ConflictVerdict FixedSpaceContext::verdict(ConflictOracle oracle,

@@ -16,9 +16,10 @@
 //     (lattice::detail::hermite_prefix_t / hermite_extend_row_t).
 // All per-candidate arithmetic runs on the CheckedInt machine-word fast
 // path with the usual exact::with_fallback BigInt restart, so verdicts
-// (status, rule string AND witness) are bit-identical to the from-scratch
-// seed path -- asserted by tests/fixed_space_test.cpp across the gallery
-// and all oracles.
+// (status, rule string AND witness) are bit-identical to the per-candidate
+// references MappingMatrix::has_full_rank + run_conflict_oracle --
+// asserted by tests/fixed_space_test.cpp across the gallery and all
+// oracles.  screen() is the only way procedure_5_1 decides Step 5(2)+(3).
 //
 // The context is immutable after construction; all query methods are const
 // and safe to call from several threads at once.
@@ -56,30 +57,24 @@ class FixedSpaceContext {
   bool has_full_rank(const VecI& pi) const;
 
   /// Fused Step 5(2)+(3): nullopt when pi fails the rank screen OR is not
-  /// conflict-free; the accepting verdict otherwise.  Equivalent to
-  /// `has_full_rank(pi) ? accept(oracle, pi) : nullopt`, but for k = n-1
-  /// one cofactor product C pi decides both screens (the cross product of
-  /// an (n-1) x n matrix is nonzero exactly when it has full rank), so the
-  /// echelon replay is skipped on the sweep's hottest path.  With a
-  /// non-null `cache`, outcomes are memoized by canonical conflict form
-  /// under the admission policy of verdict_cache.hpp -- results stay
-  /// bit-identical; only the hit/miss counters observe the cache.
+  /// conflict-free under `oracle` (no rule string or witness is
+  /// materialized -- rejected candidates dominate the sweep); otherwise
+  /// the accepting verdict, with the same status and rule as verdict().
+  /// For k = n-1 (kPaperTheorems, kExact) one cofactor product C pi
+  /// decides both screens (the cross product of an (n-1) x n matrix is
+  /// nonzero exactly when it has full rank), so the echelon replay is
+  /// skipped on the sweep's hottest path; every other case runs the
+  /// echelon replay and then the oracle.  With a non-null `cache`,
+  /// outcomes are memoized by canonical conflict form under the admission
+  /// policy of verdict_cache.hpp -- results stay bit-identical; only the
+  /// cache's counters observe it.  kBruteForce never touches the cache.
   std::optional<mapping::ConflictVerdict> screen(
       ConflictOracle oracle, const VecI& pi,
       VerdictCache* cache = nullptr) const;
 
-  /// The per-candidate accept screen: nullopt when the candidate is NOT
-  /// conflict-free under `oracle` (no rule string or witness is
-  /// materialized -- rejected candidates dominate the sweep), otherwise
-  /// the full accepting verdict, bit-identical to the seed path's.
-  /// Precondition as in Procedure 5.1: has_full_rank(pi) already passed.
-  std::optional<mapping::ConflictVerdict> accept(
-      ConflictOracle oracle, const VecI& pi,
-      VerdictCache* cache = nullptr) const;
-
   /// The full verdict for pi under `oracle`, bit-identical (status, rule,
-  /// witness) to what the seed search computes for T = [S; pi].  Throws
-  /// exactly where the seed throws (e.g. rank(T) < n-1 under Theorem 3.1).
+  /// witness) to run_conflict_oracle on T = [S; pi].  Throws exactly where
+  /// it throws (e.g. rank(T) < n-1 under Theorem 3.1).
   mapping::ConflictVerdict verdict(ConflictOracle oracle,
                                    const VecI& pi) const;
 

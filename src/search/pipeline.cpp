@@ -1,7 +1,6 @@
 #include "search/pipeline.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
@@ -52,9 +51,9 @@ void finalize(const model::UniformDependenceAlgorithm& algo,
 }  // namespace
 
 // Everything the fused path shares across score() calls.  All mutable
-// state sits behind one mutex (entries, prefix, signature) or in relaxed
-// atomics (the advisory counters); the searches themselves run outside
-// the lock, so workers serialize only on the map probes.
+// state sits behind one mutex (entries, prefix, signature); the searches
+// themselves run outside the lock, so workers serialize only on the map
+// probes.  Advisory counts go to the search.pipeline.* obs counters.
 struct MappingPipeline::Fusion {
   VerdictCache* cache = nullptr;
   std::unique_ptr<VerdictCache> owned_cache;
@@ -76,11 +75,6 @@ struct MappingPipeline::Fusion {
   /// positive_orthant_forced per dependence matrix, so the fused ILP route
   /// pays its cone LPs once per D, not once per query.
   std::vector<std::pair<MatI, bool>> orthant_forced;
-
-  std::atomic<std::uint64_t> orbit_hits{0};
-  std::atomic<std::uint64_t> orbit_misses{0};
-  std::atomic<std::uint64_t> seeded{0};
-  std::atomic<std::uint64_t> truncated{0};
 
   /// (Re)anchors the per-algorithm state; true when the orbit cache (and
   /// its stats-reproducing prefix) is usable for this algorithm + bound.
@@ -144,11 +138,9 @@ struct MappingPipeline::Fusion {
     std::lock_guard<std::mutex> lock(mu);
     auto it = entries.find(key);
     if (it == entries.end()) {
-      orbit_misses.fetch_add(1, std::memory_order_relaxed);
       SYSMAP_COUNT("search.pipeline.orbit_misses", 1);
       return std::nullopt;
     }
-    orbit_hits.fetch_add(1, std::memory_order_relaxed);
     SYSMAP_COUNT("search.pipeline.orbit_hits", 1);
     return it->second;
   }
@@ -199,22 +191,6 @@ void MappingPipeline::enable_fusion(const FusionOptions& fusion) {
   }
 }
 
-MappingPipeline::FusionStats MappingPipeline::fusion_stats() const {
-  FusionStats out;
-  if (fusion_ == nullptr) return out;
-  out.schedule_orbit_hits =
-      fusion_->orbit_hits.load(std::memory_order_relaxed);
-  out.schedule_orbit_misses =
-      fusion_->orbit_misses.load(std::memory_order_relaxed);
-  out.seeded_searches = fusion_->seeded.load(std::memory_order_relaxed);
-  out.truncated_by_cap = fusion_->truncated.load(std::memory_order_relaxed);
-  return out;
-}
-
-VerdictCache* MappingPipeline::shared_verdict_cache() const {
-  return fusion_ != nullptr ? fusion_->cache : nullptr;
-}
-
 MappingSolution MappingPipeline::find_time_optimal(
     const model::UniformDependenceAlgorithm& algo, const MatI& space) const {
   return solve(algo, space, /*fusion=*/nullptr, kNoCap);
@@ -255,15 +231,12 @@ MappingSolution MappingPipeline::solve(
   const bool capped = cap > kNoCap;
   const Int eff_max = capped ? std::min(resolved_max, cap) : resolved_max;
 
-  // Single site for the incumbent-cap verdict: marks the solution, bumps
-  // the fusion stat when fused, and feeds the obs counter.  (A cap without
-  // fusion is legal -- find_time_optimal callers never cap, but score() on
-  // a pipeline without enable_fusion() may.)
-  auto note_truncated = [&solution, fusion] {
+  // Single site for the incumbent-cap verdict: marks the solution and
+  // feeds the obs counter.  (A cap without fusion is legal --
+  // find_time_optimal callers never cap, but score() on a pipeline
+  // without enable_fusion() may.)
+  auto note_truncated = [&solution] {
     solution.truncated_by_cap = true;
-    if (fusion != nullptr) {
-      fusion->truncated.fetch_add(1, std::memory_order_relaxed);
-    }
     SYSMAP_COUNT("search.pipeline.truncated_by_cap", 1);
   };
 
@@ -377,7 +350,6 @@ MappingSolution MappingPipeline::solve(
           seeded.candidates_tested += fusion->below(entry->objective);
           result = std::move(seeded);
           resolved = true;
-          fusion->seeded.fetch_add(1, std::memory_order_relaxed);
           SYSMAP_COUNT("search.pipeline.seeded_searches", 1);
         } else {
           // Defensive only (contract breach): fall back to the full scan.

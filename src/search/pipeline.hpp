@@ -29,7 +29,9 @@
 // score() without a cap is bit-identical to find_time_optimal() in every
 // field, for any interleaving of spaces and threads; the fusion state is
 // internally synchronized, so one const pipeline may be shared by every
-// worker of a sweep.
+// worker of a sweep.  The fusion's advisory counts (orbit hits and
+// misses, seeded re-runs, cap truncations) live only in the
+// search.pipeline.* obs counters (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstdint>
@@ -132,21 +134,6 @@ class MappingPipeline {
   /// shared across sweep workers.
   MappingSolution score(const model::UniformDependenceAlgorithm& algo,
                         const MatI& space, Int cap = kNoCap) const;
-
-  /// Advisory fusion statistics (relaxed counters; interleaving-dependent,
-  /// excluded from every parity contract).
-  struct FusionStats {
-    std::uint64_t schedule_orbit_hits = 0;
-    std::uint64_t schedule_orbit_misses = 0;
-    std::uint64_t seeded_searches = 0;   ///< searches warm-started at f*
-    std::uint64_t truncated_by_cap = 0;  ///< searches ended by the incumbent
-  };
-  FusionStats fusion_stats() const;
-
-  /// The shared verdict cache when fusion is armed (caller-supplied or
-  /// pipeline-owned), nullptr otherwise.  Exposed so drivers can report
-  /// hit/miss deltas.
-  VerdictCache* shared_verdict_cache() const;
 
  private:
   struct Fusion;

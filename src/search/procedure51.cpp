@@ -11,7 +11,6 @@
 #include "obs/obs.hpp"
 #include "search/enumerate.hpp"
 #include "search/fixed_space.hpp"
-#include "search/verdict_cache.hpp"
 
 namespace sysmap::search {
 
@@ -75,32 +74,11 @@ SearchResult procedure_5_1(const model::UniformDependenceAlgorithm& algo,
                                 : default_max_objective(set);
 
   // The fixed-S context hoists every per-candidate invariant of S out of
-  // the sweep (echelon rank replay, Prop 3.2 cofactors, HNF warm start);
-  // its verdicts are bit-identical to the from-scratch path below.  Brute
-  // force consults none of the precomputes (its screen degenerates to the
-  // plain rank test), so the context is skipped there outright.
+  // the sweep (echelon rank replay, Prop 3.2 cofactors, HNF warm start)
+  // and is the only screen for Step 5(2)+(3), under every oracle.
   std::optional<FixedSpaceContext> own_ctx;
-  const FixedSpaceContext* ctx = nullptr;
-  if (options.use_fixed_space_context &&
-      options.oracle != ConflictOracle::kBruteForce) {
-    if (options.context != nullptr) {
-      ctx = options.context;  // caller-owned, built for this exact (J, S)
-    } else {
-      own_ctx.emplace(set, space);
-      ctx = &*own_ctx;
-    }
-  }
-
-  // The cache is consulted through the context only; counter deltas are
-  // reported per search even when the cache object is shared by several.
-  VerdictCache* cache = ctx != nullptr ? options.verdict_cache : nullptr;
-  std::uint64_t cache_hits0 = 0;
-  std::uint64_t cache_misses0 = 0;
-  if (cache != nullptr) {
-    const VerdictCache::Stats s = cache->stats();
-    cache_hits0 = s.hits;
-    cache_misses0 = s.misses;
-  }
+  const FixedSpaceContext* ctx = options.context;
+  if (ctx == nullptr) ctx = &own_ctx.emplace(set, space);
 
   // Skip objective levels no Pi can land on: sum |pi_i| mu_i is always a
   // multiple of gcd_i mu_i.
@@ -121,26 +99,12 @@ SearchResult procedure_5_1(const model::UniformDependenceAlgorithm& algo,
       // (1) Pi D > 0.
       if (!schedule::respects_dependences(pi, d)) return true;
       ++result.candidates_passed_dependence;
-      mapping::ConflictVerdict verdict;
-      if (ctx) {
-        // (2)+(3) fused: rank screen (echelon replay, or the cofactor
-        // product itself for k = n-1) plus the conflict oracle; rejected
-        // candidates skip verdict materialization entirely.
-        std::optional<mapping::ConflictVerdict> v =
-            ctx->screen(options.oracle, pi, cache);
-        if (!v) return true;
-        verdict = std::move(*v);
-      } else {
-        mapping::MappingMatrix t(space, pi);
-        // (2) rank(T) = k.
-        if (!t.has_full_rank()) return true;
-        // (3) conflict-free.
-        verdict = run_conflict_oracle(options.oracle, t, set);
-        if (verdict.status !=
-            mapping::ConflictVerdict::Status::kConflictFree) {
-          return true;
-        }
-      }
+      // (2)+(3) fused: rank screen (echelon replay, or the cofactor
+      // product itself for k = n-1) plus the conflict oracle; rejected
+      // candidates skip verdict materialization entirely.
+      std::optional<mapping::ConflictVerdict> verdict =
+          ctx->screen(options.oracle, pi, options.verdict_cache);
+      if (!verdict) return true;
       // (4) routing on a fixed target array, when requested.
       std::optional<schedule::Routing> routing;
       if (options.target) {
@@ -152,7 +116,7 @@ SearchResult procedure_5_1(const model::UniformDependenceAlgorithm& algo,
       result.pi = pi;
       result.objective = f;
       result.makespan = exact::add_checked(f, 1);
-      result.verdict = std::move(verdict);
+      result.verdict = std::move(*verdict);
       result.routing = std::move(routing);
       found_at_level = true;
       return false;  // abort the scan: first hit at minimal f is optimal
@@ -162,11 +126,6 @@ SearchResult procedure_5_1(const model::UniformDependenceAlgorithm& algo,
   SYSMAP_COUNT("search.procedure51.leaves_visited", result.candidates_tested);
   SYSMAP_COUNT("search.procedure51.cone_skipped", walk.skipped());
   result.candidates_tested += walk.skipped();
-  if (cache != nullptr) {
-    const VerdictCache::Stats s = cache->stats();
-    result.cache_hits = s.hits - cache_hits0;
-    result.cache_misses = s.misses - cache_misses0;
-  }
 #if SYSMAP_CONTRACTS_ACTIVE
   if (result.found) {
     // Procedure 5.1 postconditions: the winning Pi really costs f, keeps

@@ -9,6 +9,8 @@
 //   (3) T conflict-free -- by the exact theorem for k >= n-3, Theorem 4.5 /
 //       exact enumeration otherwise (see decide_conflict_free)
 //   (4) optionally S D = P K with column sums <= Pi d_i (fixed target array)
+// Conditions (2) and (3) are decided by one module under every oracle:
+// search::FixedSpaceContext::screen (search/fixed_space.hpp).
 //
 // The serial search walks each level with search::DependenceConeWalk
 // (search/enumerate.hpp), which applies condition (1) to whole subtrees:
@@ -49,24 +51,18 @@ struct SearchOptions {
   /// Require routability on this target array (condition 4); nullopt
   /// designs a dedicated array instead (conditions 1-3 only).
   std::optional<schedule::Interconnect> target;
-  /// Amortize per-candidate work with search::FixedSpaceContext (default).
-  /// The context path is bit-identical to the from-scratch path (same
-  /// verdicts, witnesses and statistics); disabling it exists for the
-  /// search_throughput ablation and parity tests.  Under kBruteForce the
-  /// context is never constructed regardless -- brute force consults none
-  /// of its precomputes, so building one is pure overhead.
-  bool use_fixed_space_context = true;
   /// Optional canonical-form verdict cache (see search/verdict_cache.hpp).
   /// Shareable across searches (multi-S sweeps) and across threads;
-  /// results stay bit-identical -- only the hit/miss counters below
-  /// observe it.  Never consulted under kBruteForce.
+  /// results stay bit-identical -- only the cache's own stats() observe
+  /// it.  Never consulted under kBruteForce.
   VerdictCache* verdict_cache = nullptr;
-  /// Optional caller-owned context for this exact (J, S) pair, borrowed for
-  /// the duration of the call; nullptr lets the search build its own.  Lets
-  /// a driver that runs SEVERAL searches against one space (ILP
+  /// Optional caller-owned search::FixedSpaceContext for this exact
+  /// (J, S) pair, borrowed for the duration of the call; nullptr lets the
+  /// search build its own.  Every candidate that passes Pi D > 0 is
+  /// screened through the context (Step 5(2)+(3)), under every oracle.
+  /// Lets a driver that runs SEVERAL searches against one space (ILP
   /// certification sweep + fall-through, orbit-seeded re-runs) pay the
-  /// context construction once.  Ignored when use_fixed_space_context is
-  /// false or the oracle is kBruteForce (matching the own-context policy).
+  /// context construction once.
   const FixedSpaceContext* context = nullptr;
 };
 
@@ -79,12 +75,8 @@ struct SearchResult {
   std::optional<schedule::Routing> routing;  ///< when target was given
   std::uint64_t candidates_tested = 0;
   std::uint64_t candidates_passed_dependence = 0;
-  /// Verdict-cache traffic attributable to this search (deltas of the
-  /// shared cache's counters).  NOT part of the bit-identical result
-  /// contract: a cache shared across threads makes per-run counts
-  /// nondeterministic.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
+
+  friend bool operator==(const SearchResult&, const SearchResult&) = default;
 };
 
 /// The objective bound a search applies when SearchOptions::max_objective
@@ -105,9 +97,9 @@ bool enumerate_schedules_at(const model::IndexSet& set, Int f,
 
 /// Step 5(3)'s conflict decision for one candidate, from scratch: the
 /// published-theorem dispatch (kPaperTheorems), the library-exact
-/// dispatcher (kExact) or the brute-force baseline.  Shared by
-/// procedure_5_1's from-scratch path and by FixedSpaceContext's fallback
-/// path.
+/// dispatcher (kExact) or the brute-force baseline.  FixedSpaceContext
+/// falls back to it for rank-deficient S, and procedure_5_1's contract
+/// check re-runs it on the winner.
 mapping::ConflictVerdict run_conflict_oracle(ConflictOracle oracle,
                                              const mapping::MappingMatrix& t,
                                              const model::IndexSet& set);

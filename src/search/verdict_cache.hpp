@@ -3,10 +3,10 @@
 // mapping::ConflictKey -- the canonical form of the data the verdict is
 // actually a function of.
 //
-// WHAT IS STORED.  Only what the sweep observes: screen()/accept() return
-// nullopt for every rejected candidate (no rule, no witness) and an
-// accepting verdict whose rule string is determined by the canonical key.
-// So an Outcome is (conflict_free, accept-rule); reject rules and
+// WHAT IS STORED.  Only what the sweep observes: FixedSpaceContext::screen()
+// returns nullopt for every rejected candidate (no rule, no witness) and
+// an accepting verdict whose rule string is determined by the canonical
+// key.  So an Outcome is (conflict_free, accept-rule); reject rules and
 // witnesses are never cached because they are never observable through
 // the cached entry points.
 //
@@ -33,14 +33,14 @@
 //     hnf.v -- both depend on the basis REPRESENTATIVE, not the canonical
 //     key, so two same-key candidates may accept under different rules.
 //     kUnknown outcomes there are never cached for the same reason.
-//   - kBruteForce: never cached (the context itself is skipped).
+//   - kBruteForce: never cached (screen() never passes it the cache).
 //
 // CONCURRENCY.  Sharded by key hash; each shard is an independent
 // mutex-protected map, so pool workers screening disjoint candidates
 // rarely contend.  Hit/miss counters are relaxed atomics -- they feed
-// bench JSON and SearchResult stats, not control flow, and are therefore
-// EXCLUDED from the bit-identical result contract (parallel interleaving
-// makes per-run counts nondeterministic by nature).
+// bench JSON and the search.verdict_cache.* obs counters, not control
+// flow, and are therefore EXCLUDED from the bit-identical result contract
+// (parallel interleaving makes per-run counts nondeterministic by nature).
 #pragma once
 
 #include <atomic>
@@ -64,7 +64,7 @@ inline bool exact_accept_rule_cacheable(std::string_view rule) {
 
 class VerdictCache {
  public:
-  /// The observable slice of a screen()/accept() outcome: whether the
+  /// The observable slice of a screen() outcome: whether the
   /// candidate is conflict-free and, for accepts, the rule string of the
   /// accepting verdict (constant per canonical key under the admission
   /// policy).

@@ -2,8 +2,8 @@
 // every candidate that passes Pi D > 0, in the plain walk's order, and
 // account for every candidate it skips, so the serial search reports
 // exactly the statistics of a walk over every candidate.  Differential
-// against the unpruned for_each_schedule_at walk and a hand-rolled
-// unpruned Procedure 5.1.
+// against the unpruned for_each_schedule_at walk and the unpruned
+// from-scratch Procedure 5.1 of reference_scan.hpp, under every oracle.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -15,12 +15,12 @@
 #include <vector>
 
 #include "exact/checked.hpp"
-#include "mapping/mapping_matrix.hpp"
 #include "model/algorithm.hpp"
 #include "model/gallery.hpp"
 #include "schedule/linear_schedule.hpp"
 #include "search/enumerate.hpp"
 #include "search/procedure51.hpp"
+#include "reference_scan.hpp"
 
 namespace sysmap::search {
 namespace {
@@ -219,37 +219,6 @@ TEST(ConeWalk, NoDependenceColumnsVisitsEveryCandidate) {
   EXPECT_EQ(walk.skipped(), 0u);
 }
 
-// Unpruned Procedure 5.1 from scratch: every candidate of every level in
-// plain order, the checked dependence test, then rank and the exact
-// oracle.  The reference the serial search must reproduce exactly.
-SearchResult reference_scan(const model::UniformDependenceAlgorithm& algo,
-                            const MatI& space, Int max_objective) {
-  const model::IndexSet& set = algo.index_set();
-  SearchResult result;
-  const Int stride = objective_level_stride(set);
-  for (Int f = stride; f <= max_objective && !result.found; f += stride) {
-    for_each_schedule_at(set, f, [&](const VecI& pi) {
-      ++result.candidates_tested;
-      if (!schedule::respects_dependences(pi, algo.dependence_matrix())) {
-        return true;
-      }
-      ++result.candidates_passed_dependence;
-      const mapping::MappingMatrix t(space, pi);
-      if (!t.has_full_rank()) return true;
-      mapping::ConflictVerdict verdict =
-          run_conflict_oracle(ConflictOracle::kExact, t, set);
-      if (!verdict.conflict_free()) return true;
-      result.found = true;
-      result.pi = pi;
-      result.objective = f;
-      result.makespan = f + 1;
-      result.verdict = std::move(verdict);
-      return false;
-    });
-  }
-  return result;
-}
-
 void expect_same(const SearchResult& a, const SearchResult& b,
                  const std::string& label) {
   ASSERT_EQ(a.found, b.found) << label;
@@ -272,6 +241,7 @@ void expect_same(const SearchResult& a, const SearchResult& b,
     }
   }
   ASSERT_EQ(a.routing.has_value(), b.routing.has_value()) << label;
+  EXPECT_TRUE(a == b) << label;  // every field, routing included
 }
 
 TEST(ConeWalk, Procedure51MatchesUnprunedDrivers) {
@@ -291,16 +261,12 @@ TEST(ConeWalk, Procedure51MatchesUnprunedDrivers) {
     const std::string label = "trial " + std::to_string(trial);
     SearchOptions opts;
     opts.max_objective = 9;  // keeps the not-found scans small
-    expect_same(reference_scan(algo, space, opts.max_objective),
-                procedure_5_1(algo, space, opts), label + " reference");
     for (ConflictOracle oracle :
          {ConflictOracle::kExact, ConflictOracle::kPaperTheorems,
           ConflictOracle::kBruteForce}) {
       opts.oracle = oracle;
-      opts.use_fixed_space_context = true;
-      const SearchResult ctx = procedure_5_1(algo, space, opts);
-      opts.use_fixed_space_context = false;
-      expect_same(procedure_5_1(algo, space, opts), ctx,
+      expect_same(reference_scan(algo, space, opts.max_objective, oracle),
+                  procedure_5_1(algo, space, opts),
                   label + " oracle " +
                       std::to_string(static_cast<int>(oracle)));
     }

@@ -1,7 +1,8 @@
 // Tests for the fixed-S incremental search engine: warm-started HNF,
 // Proposition 3.2 cofactor closed form, echelon rank replay, golden
 // candidate counts for the schedule enumeration, and bit-identical
-// FixedSpaceContext-vs-seed parity across the gallery and all oracles.
+// FixedSpaceContext-vs-from-scratch parity across the gallery and all
+// oracles.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include "mapping/verdicts_impl.hpp"
 #include "model/gallery.hpp"
 #include "search/fixed_space.hpp"
+#include "reference_scan.hpp"
 
 namespace sysmap::search {
 namespace {
@@ -287,25 +289,17 @@ TEST(FixedSpaceParity, PerCandidateAgainstSeedAcrossOracles) {
               EXPECT_TRUE((*seed.witness)[i] == (*fast.witness)[i]);
             }
           }
-          // accept() is the screen the search uses: engaged exactly on
-          // conflict-free verdicts, and then identical to verdict().
-          std::optional<mapping::ConflictVerdict> accepted =
-              ctx.accept(oracle, pi);
-          EXPECT_EQ(accepted.has_value(),
-                    seed.status ==
-                        mapping::ConflictVerdict::Status::kConflictFree);
-          if (accepted) {
-            EXPECT_EQ(accepted->status, seed.status);
-            EXPECT_EQ(accepted->rule, seed.rule);
-          }
-          // screen() fuses the rank test into the same decision; with
-          // rank already passed it must agree with accept() exactly.
+          // screen() is the search's only Step 5(2)+(3) decision: with
+          // rank passed it engages exactly on conflict-free verdicts, and
+          // then with the same status and rule.
           std::optional<mapping::ConflictVerdict> screened =
               ctx.screen(oracle, pi);
-          EXPECT_EQ(screened.has_value(), accepted.has_value());
-          if (screened && accepted) {
-            EXPECT_EQ(screened->status, accepted->status);
-            EXPECT_EQ(screened->rule, accepted->rule);
+          EXPECT_EQ(screened.has_value(),
+                    seed.status ==
+                        mapping::ConflictVerdict::Status::kConflictFree);
+          if (screened) {
+            EXPECT_EQ(screened->status, seed.status);
+            EXPECT_EQ(screened->rule, seed.rule);
           }
         }
         return true;
@@ -339,13 +333,15 @@ TEST(FixedSpaceParity, ValidatesShapes) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: context on/off, identical results
+// End-to-end: procedure_5_1 (always through the context) against the
+// from-scratch reference scan, identical results
 // ---------------------------------------------------------------------------
 
 void expect_identical(const SearchResult& a, const SearchResult& b) {
   ASSERT_EQ(a.found, b.found);
   EXPECT_EQ(a.candidates_tested, b.candidates_tested);
   EXPECT_EQ(a.candidates_passed_dependence, b.candidates_passed_dependence);
+  EXPECT_TRUE(a == b);  // every field, witness and routing included
   if (!a.found) return;
   EXPECT_EQ(a.pi, b.pi);
   EXPECT_EQ(a.objective, b.objective);
@@ -363,12 +359,11 @@ TEST(FixedSpaceParity, Procedure51ContextOnOffBitIdentical) {
     }
     for (ConflictOracle oracle : oracles) {
       SCOPED_TRACE(c.algo.name());
-      SearchOptions with_ctx;
-      with_ctx.oracle = oracle;
-      SearchOptions without_ctx = with_ctx;
-      without_ctx.use_fixed_space_context = false;
-      SearchResult fast = procedure_5_1(c.algo, c.space, with_ctx);
-      SearchResult seed = procedure_5_1(c.algo, c.space, without_ctx);
+      SearchOptions opts;
+      opts.oracle = oracle;
+      const SearchResult fast = procedure_5_1(c.algo, c.space, opts);
+      const SearchResult seed = reference_scan(
+          c.algo, c.space, default_max_objective(c.algo.index_set()), oracle);
       expect_identical(seed, fast);
     }
   }
@@ -379,9 +374,9 @@ TEST(FixedSpaceParity, RoutingTargetWorksThroughContext) {
   SearchOptions opts;
   opts.target = schedule::Interconnect::nearest_neighbor(1);
   SearchResult fast = procedure_5_1(algo, MatI{{1, 1, -1}}, opts);
-  SearchOptions seed_opts = opts;
-  seed_opts.use_fixed_space_context = false;
-  SearchResult seed = procedure_5_1(algo, MatI{{1, 1, -1}}, seed_opts);
+  SearchResult seed = reference_scan(
+      algo, MatI{{1, 1, -1}}, default_max_objective(algo.index_set()),
+      opts.oracle, opts.target);
   expect_identical(seed, fast);
   ASSERT_TRUE(fast.routing.has_value());
   EXPECT_EQ(fast.routing->total_buffers(), seed.routing->total_buffers());

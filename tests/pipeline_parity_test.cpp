@@ -9,12 +9,14 @@
 // concurrently).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/mapper.hpp"
 #include "model/gallery.hpp"
+#include "obs/obs.hpp"
 #include "search/pipeline.hpp"
 #include "search/space_optimal.hpp"
 #include "search/verdict_cache.hpp"
@@ -28,8 +30,15 @@ std::vector<std::size_t> parity_thread_counts() {
   return {1, 2, 7, hw};
 }
 
-// Every non-advisory MappingSolution field.  `truncated_by_cap` and the
-// fusion counters are advisory by contract and deliberately not compared.
+std::uint64_t counter_total(const std::string& name) {
+  for (const obs::Metric& m : obs::snapshot()) {
+    if (m.name == name) return m.total;
+  }
+  return 0;
+}
+
+// Every non-advisory MappingSolution field.  `truncated_by_cap` is
+// advisory by contract and deliberately not compared.
 void expect_same_solution(const MappingSolution& cold,
                           const MappingSolution& fused,
                           const std::string& label) {
@@ -75,6 +84,7 @@ void run_score_parity(const model::UniformDependenceAlgorithm& algo,
   MappingPipeline fused(options);
   fused.enable_fusion({});
 
+  obs::reset();
   for (int pass = 0; pass < 2; ++pass) {
     for (std::size_t i = 0; i < spaces.size(); ++i) {
       MappingSolution cold_solution;
@@ -101,7 +111,9 @@ void run_score_parity(const model::UniformDependenceAlgorithm& algo,
   }
   // The second pass re-visits every space, so at least the exact-repeat
   // schedule-orbit keys must have hit.
-  EXPECT_GT(fused.fusion_stats().schedule_orbit_hits, 0u) << algo.name();
+  if (obs::kEnabled) {
+    EXPECT_GT(counter_total("search.pipeline.orbit_hits"), 0u) << algo.name();
+  }
 }
 
 TEST(PipelineParity, ScoreMatchesColdMatmulIlpRoute) {

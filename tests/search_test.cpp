@@ -68,18 +68,12 @@ TEST(Enumerate, AbortPropagates) {
   EXPECT_EQ(count, 3);
 }
 
-// S must be (k-1) x n with k <= n, whichever path screens the candidates.
+// S must be (k-1) x n with k <= n.
 TEST(Procedure51, ValidatesShapes) {
   const model::UniformDependenceAlgorithm algo = model::matmul(3);
-  SearchOptions from_scratch;
-  from_scratch.use_fixed_space_context = false;
-  for (const SearchOptions& opts : {SearchOptions{}, from_scratch}) {
-    EXPECT_THROW(procedure_5_1(algo, MatI{{1, 1}}, opts),
-                 std::invalid_argument);
-    EXPECT_THROW(
-        procedure_5_1(algo, MatI{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}, opts),
-        std::invalid_argument);
-  }
+  EXPECT_THROW(procedure_5_1(algo, MatI{{1, 1}}), std::invalid_argument);
+  EXPECT_THROW(procedure_5_1(algo, MatI{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

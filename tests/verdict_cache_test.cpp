@@ -14,6 +14,7 @@
 #include "search/procedure51.hpp"
 #include "search/space_optimal.hpp"
 #include "search/verdict_cache.hpp"
+#include "reference_scan.hpp"
 
 namespace sysmap::search {
 namespace {
@@ -159,11 +160,13 @@ TEST(VerdictCache, SerialSearchBitIdenticalWithAndWithoutCache) {
       SearchOptions with_cache = plain;
       with_cache.verdict_cache = &cache;
       const SearchResult cold = procedure_5_1(c.algo, c.space, with_cache);
+      const VerdictCache::Stats after_cold = cache.stats();
       expect_same_result(uncached, cold);
       const SearchResult warm = procedure_5_1(c.algo, c.space, with_cache);
+      const VerdictCache::Stats after_warm = cache.stats();
       expect_same_result(uncached, warm);
-      if (cold.cache_misses > 0) {
-        EXPECT_GT(warm.cache_hits, 0u) << c.algo.name();
+      if (after_cold.misses > 0) {
+        EXPECT_GT(after_warm.hits - after_cold.hits, 0u) << c.algo.name();
       }
     }
   }
@@ -179,11 +182,42 @@ TEST(VerdictCache, HitsAccumulateAcrossScaledSpaces) {
   VerdictCache cache;
   SearchOptions opts;
   opts.verdict_cache = &cache;
-  const SearchResult first = procedure_5_1(algo, s1, opts);
+  procedure_5_1(algo, s1, opts);
+  const VerdictCache::Stats after_first = cache.stats();
   const SearchResult second = procedure_5_1(algo, s2, opts);
-  EXPECT_GT(first.cache_misses, 0u);
-  EXPECT_GT(second.cache_hits, 0u);
+  EXPECT_GT(after_first.misses, 0u);
+  EXPECT_GT(cache.stats().hits - after_first.hits, 0u);
   expect_same_result(procedure_5_1(algo, s2, {}), second);
+}
+
+// Brute force is screened through the same FixedSpaceContext as the other
+// oracles but must never read or write the cache, both where k = n-1
+// (the cofactor branch is bypassed) and where k <= n-2 (the HNF prefix is
+// built but the cached HNF tail is bypassed).  The result still equals
+// the from-scratch brute-force scan.
+TEST(VerdictCache, BruteForceThroughContextNeverTouchesCache) {
+  const std::vector<GalleryCase> cases = {
+      {model::matmul(4), MatI{{1, 1, -1}}},
+      {model::unit_cube_algorithm(4, 2), MatI{{1, 0, 0, 0}}},
+  };
+  for (const GalleryCase& c : cases) {
+    SCOPED_TRACE(c.algo.name());
+    VerdictCache cache;
+    SearchOptions opts;
+    opts.oracle = ConflictOracle::kBruteForce;
+    opts.verdict_cache = &cache;
+    const SearchResult result = procedure_5_1(c.algo, c.space, opts);
+    const VerdictCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.insertions, 0u);
+    EXPECT_EQ(stats.entries, 0u);
+    EXPECT_TRUE(result.found);
+    EXPECT_TRUE(result ==
+                reference_scan(c.algo, c.space,
+                               default_max_objective(c.algo.index_set()),
+                               ConflictOracle::kBruteForce));
+  }
 }
 
 // Cached screen parity, per candidate: memoizing by canonical conflict
