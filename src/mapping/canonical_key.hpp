@@ -1,25 +1,20 @@
 // Canonical forms of the conflict-determining data, for verdict caching.
 //
-// Whether T = [S; Pi] is conflict-free over an index set J^n depends on
-// strictly LESS than (S, Pi):
-//   - k = n-1 (Theorem 3.1): only on the conflict RAY {t . gamma} and the
-//     box bounds -- gamma = cross([S; Pi]) up to scale and sign.  Two
-//     candidates whose crosses are colinear get the same verdict, rule
-//     string and (sign-flipped) witness reconstruction, so the canonical
-//     form is lattice::make_primitive(gamma) with the first nonzero entry
-//     made positive.
-//   - k <= n-2 (Theorems 4.5/4.7/4.8 and the conflict lattice): only on
-//     the kernel lattice of T, represented by the HNF-derived basis block
-//     u_{k+1..n}.  The paper-theorem ladder consumes the basis columns
-//     through sign-pattern- and permutation-invariant tests, so columns
-//     are made primitive, sign-normalized and sorted lexicographically.
-//     (The EXACT oracle's LLL + box-enumeration tail is NOT invariant
-//     under these moves -- lll_impl.hpp's round_nearest breaks odd
-//     symmetry -- so search::VerdictCache only admits kExact outcomes
-//     proven invariant; see verdict_cache.hpp for the admission policy.)
+// Whether T = [S; Pi] with k <= n-2 is conflict-free over an index set
+// J^n depends on strictly LESS than (S, Pi): only on the kernel lattice of
+// T (Theorems 4.5/4.7/4.8 and the conflict lattice), represented by the
+// HNF-derived basis block u_{k+1..n}.  The paper-theorem ladder consumes
+// the basis columns through sign-pattern- and permutation-invariant tests,
+// so columns are made primitive, sign-normalized and sorted
+// lexicographically.  (The EXACT oracle's LLL + box-enumeration tail is
+// NOT invariant under these moves -- lll_impl.hpp's round_nearest breaks
+// odd symmetry -- so search::VerdictCache only admits kExact outcomes
+// proven invariant; see verdict_cache.hpp for the admission policy.)  The
+// k = n-1 case has no key: Theorem 3.1 decides it in O(n), faster than a
+// key could be built.  The two orbit keys below canonicalize S itself.
 //
 // Keys embed the index-set extents and an oracle tag so distinct boxes or
-// oracles can never alias, plus a kind tag separating the two families.
+// oracles can never alias, plus a kind tag separating the key families.
 // Builders return nullopt when the data does not fit the int64 payload
 // (callers then simply skip the cache -- correctness never depends on a
 // key existing).
@@ -44,13 +39,12 @@ namespace sysmap::mapping {
 /// every field; the hash is FNV-1a over the same bytes-as-words stream.
 struct ConflictKey {
   enum class Kind : std::uint8_t {
-    kConflictRay = 0,    ///< k = n-1: primitive sign-normalized gamma
     kKernelBasis = 1,    ///< k <= n-2: canonicalized u_{k+1..n} block
     kSpaceOrbit = 2,     ///< cost orbit of a space matrix S over a box
     kScheduleOrbit = 3,  ///< schedule-search orbit of S for a fixed (J, D)
   };
 
-  Kind kind = Kind::kConflictRay;
+  Kind kind = Kind::kKernelBasis;
   std::int32_t oracle_tag = 0;  ///< caller-supplied oracle discriminator
   std::uint32_t n = 0;          ///< index-set dimension
   std::uint32_t k = 0;          ///< rows(T)
@@ -184,47 +178,6 @@ inline std::vector<Int> min_row_canonical_form(
 }
 
 }  // namespace detail
-
-/// Canonical key for the k = n-1 conflict ray gamma (any nonzero multiple
-/// of cross([S; Pi])).  Precondition: gamma is nonzero.
-inline ConflictKey canonical_gamma_key(const VecI& gamma,
-                                       const model::IndexSet& set,
-                                       std::int32_t oracle_tag) {
-  ConflictKey key;
-  key.kind = ConflictKey::Kind::kConflictRay;
-  key.oracle_tag = oracle_tag;
-  key.n = static_cast<std::uint32_t>(set.dimension());
-  key.k = static_cast<std::uint32_t>(set.dimension() - 1);
-  key.payload.reserve(set.dimension() + gamma.size());
-  detail::append_extents(set, key.payload);
-  VecI canon = lattice::make_primitive(gamma);
-  // make_primitive already flips the vector so its first nonzero entry is
-  // positive -- that IS the sign normalization.
-  key.payload.insert(key.payload.end(), canon.begin(), canon.end());
-  return key;
-}
-
-/// BigInt overload: nullopt when the primitive gamma does not fit int64
-/// (the caller skips the cache; the primitive form is the smallest
-/// representative, so overflow here means the ray is genuinely huge).
-inline std::optional<ConflictKey> canonical_gamma_key(
-    const VecZ& gamma, const model::IndexSet& set, std::int32_t oracle_tag) {
-  VecZ canon = lattice::make_primitive(gamma);
-  VecI narrow(canon.size());
-  for (std::size_t i = 0; i < canon.size(); ++i) {
-    if (!canon[i].fits_int64()) return std::nullopt;
-    narrow[i] = canon[i].to_int64();
-  }
-  ConflictKey key;
-  key.kind = ConflictKey::Kind::kConflictRay;
-  key.oracle_tag = oracle_tag;
-  key.n = static_cast<std::uint32_t>(set.dimension());
-  key.k = static_cast<std::uint32_t>(set.dimension() - 1);
-  key.payload.reserve(set.dimension() + narrow.size());
-  detail::append_extents(set, key.payload);
-  key.payload.insert(key.payload.end(), narrow.begin(), narrow.end());
-  return key;
-}
 
 /// Canonical key for a k <= n-2 kernel basis block (columns u_{k+1..n} of
 /// the HNF transform).  Each column is made primitive with its first

@@ -1,6 +1,5 @@
 #include "search/fixed_space.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -120,42 +119,27 @@ constexpr std::size_t kRawScreenMaxN = 16;
 /// means the right-hand side exceeds |gamma_i|, so the strict test is
 /// false -- the exact BigInt evaluation would say the same.
 ///
-/// The kernel splits into the cofactor product (shared with the cached
-/// screens, which key the verdict cache on gamma before deciding) and the
-/// Theorem 2.2 tail over the resulting gamma.
-///
 /// SYSMAP_RAW_FASTPATH(fallback: theorem_3_1_screen)
-bool cross_product_raw(const MatI& cof, const VecI& pi, Int* gamma) {
+std::optional<Thm31Screen> theorem_3_1_screen_raw(const MatI& cof,
+                                                  const VecI& pi,
+                                                  const model::IndexSet& set) {
   const std::size_t n = cof.rows();
+  Int mag[kRawScreenMaxN];
+  Int min_nz = 0;
   for (std::size_t r = 0; r < n; ++r) {
     Int acc = 0;
     for (std::size_t c = 0; c < n; ++c) {
       Int p = 0;
       if (__builtin_mul_overflow(cof(r, c), pi[c], &p) ||
           __builtin_add_overflow(acc, p, &acc)) {
-        return false;
+        return std::nullopt;
       }
     }
-    gamma[r] = acc;
+    if (acc == INT64_MIN) return std::nullopt;  // |.| would trap
+    mag[r] = acc < 0 ? -acc : acc;
+    if (mag[r] != 0 && (min_nz == 0 || mag[r] < min_nz)) min_nz = mag[r];
   }
-  return true;
-}
-
-/// SYSMAP_RAW_FASTPATH(fallback: theorem_3_1_screen)
-std::optional<Thm31Screen> thm31_tail_raw(const Int* gamma, std::size_t n,
-                                          const model::IndexSet& set) {
-  bool all_zero = true;
-  Int mag[kRawScreenMaxN];
-  Int min_nz = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (gamma[i] == INT64_MIN) return std::nullopt;  // |.| would trap
-    mag[i] = gamma[i] < 0 ? -gamma[i] : gamma[i];
-    if (mag[i] != 0) {
-      all_zero = false;
-      if (min_nz == 0 || mag[i] < min_nz) min_nz = mag[i];
-    }
-  }
-  if (all_zero) return Thm31Screen::kRankDeficient;
+  if (min_nz == 0) return Thm31Screen::kRankDeficient;
   // g = gcd_i |gamma_i| satisfies 1 <= g <= min_nz; the exact test is
   // exists i: |gamma_i| > mu_i * g.
   bool beyond_mu = false;  // necessary: exists |gamma_i| > mu_i * 1
@@ -176,122 +160,6 @@ std::optional<Thm31Screen> thm31_tail_raw(const Int* gamma, std::size_t n,
     if (mag[i] > rhs) return Thm31Screen::kFeasible;
   }
   return Thm31Screen::kConflict;
-}
-
-/// SYSMAP_RAW_FASTPATH(fallback: theorem_3_1_screen)
-std::optional<Thm31Screen> theorem_3_1_screen_raw(const MatI& cof,
-                                                  const VecI& pi,
-                                                  const model::IndexSet& set) {
-  Int gamma[kRawScreenMaxN];
-  if (!cross_product_raw(cof, pi, gamma)) return std::nullopt;
-  return thm31_tail_raw(gamma, cof.rows(), set);
-}
-
-constexpr std::string_view kThm31AcceptRule =
-    "Theorem 3.1: unique conflict vector feasible";
-
-/// gamma = C pi without the decision tail (the cached paths need the raw
-/// gamma to build the canonical key first).  Returns false when gamma is
-/// identically zero, i.e. rank([S; pi]) < n-1.
-template <typename T>
-bool cross_product_into(const linalg::Matrix<T>& cof, const VecI& pi,
-                        linalg::Vector<T>& gamma) {
-  const std::size_t n = cof.rows();
-  gamma.resize(n);
-  bool all_zero = true;
-  for (std::size_t r = 0; r < n; ++r) {
-    T acc(0);
-    for (std::size_t c = 0; c < n; ++c) {
-      if (pi[c] == 0) continue;
-      acc += cof(r, c) * T(pi[c]);
-    }
-    if (!acc.is_zero()) all_zero = false;
-    gamma[r] = std::move(acc);
-  }
-  return !all_zero;
-}
-
-/// First n entries of a raw gamma buffer as a VecI (std::copy_n instead
-/// of pointer arithmetic keeps the lint's raw-arith scan vacuous here).
-inline VecI vec_from_raw(const Int* gamma, std::size_t n) {
-  VecI out(n);
-  std::copy_n(gamma, n, out.begin());
-  return out;
-}
-
-/// Cached Theorem 3.1 decision over a NONZERO raw gamma (any nonzero
-/// multiple of the conflict ray; entries must not be INT64_MIN so the
-/// canonicalization cannot trap).  Bit-identical to the uncached screens:
-/// feasibility of the primitive gamma is the same boolean as their
-/// gcd-scaled Theorem 2.2 test, and the accept rule is the constant
-/// kThm31AcceptRule, so the cached outcome reproduces the verdict exactly.
-std::optional<ConflictVerdict> thm31_cached(const VecI& gamma_raw,
-                                            const model::IndexSet& set,
-                                            ConflictOracle oracle,
-                                            VerdictCache& cache) {
-  const mapping::ConflictKey key = mapping::canonical_gamma_key(
-      gamma_raw, set,
-      static_cast<std::int32_t>(oracle));  // SYSMAP_NARROWING_OK: tag 0..2.
-  if (std::optional<VerdictCache::Outcome> hit = cache.lookup(key)) {
-    if (!hit->conflict_free) return std::nullopt;
-    return mapping::detail::verdict(ConflictVerdict::Status::kConflictFree,
-                                    hit->rule);
-  }
-  // key.payload holds the extents, then the primitive sign-normalized
-  // gamma.  |g| > mu is tested negation-free (mu >= 1, so -mu never
-  // overflows and g itself is never negated -- INT64_MIN-safe).
-  const std::size_t n = set.dimension();
-  bool ray_feasible = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Int g = key.payload[n + i];
-    if (g > set.mu(i) || g < exact::neg_checked(set.mu(i))) {
-      ray_feasible = true;
-      break;
-    }
-  }
-  cache.insert(key, ray_feasible,
-               ray_feasible ? kThm31AcceptRule : std::string_view{});
-  if (!ray_feasible) return std::nullopt;
-  return mapping::detail::verdict(ConflictVerdict::Status::kConflictFree,
-                                  std::string(kThm31AcceptRule));
-}
-
-/// BigInt restart of thm31_cached; rays too wide for the int64 key are
-/// decided directly and simply skipped by the cache.
-std::optional<ConflictVerdict> thm31_cached(const VecZ& gamma_raw,
-                                            const model::IndexSet& set,
-                                            ConflictOracle oracle,
-                                            VerdictCache& cache) {
-  std::optional<mapping::ConflictKey> key = mapping::canonical_gamma_key(
-      gamma_raw, set,
-      static_cast<std::int32_t>(oracle));  // SYSMAP_NARROWING_OK: tag 0..2.
-  if (!key) {
-    const VecZ canon = lattice::make_primitive(gamma_raw);
-    if (!mapping::is_feasible_conflict_vector(canon, set)) return std::nullopt;
-    return mapping::detail::verdict(ConflictVerdict::Status::kConflictFree,
-                                    std::string(kThm31AcceptRule));
-  }
-  if (std::optional<VerdictCache::Outcome> hit = cache.lookup(*key)) {
-    if (!hit->conflict_free) return std::nullopt;
-    return mapping::detail::verdict(ConflictVerdict::Status::kConflictFree,
-                                    hit->rule);
-  }
-  // Negation-free |g| > mu: the narrowed payload CAN hold INT64_MIN here
-  // (it fits int64), so -g would be UB; -mu never overflows (mu >= 1).
-  const std::size_t n = set.dimension();
-  bool ray_feasible = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Int g = key->payload[n + i];
-    if (g > set.mu(i) || g < exact::neg_checked(set.mu(i))) {
-      ray_feasible = true;
-      break;
-    }
-  }
-  cache.insert(*key, ray_feasible,
-               ray_feasible ? kThm31AcceptRule : std::string_view{});
-  if (!ray_feasible) return std::nullopt;
-  return mapping::detail::verdict(ConflictVerdict::Status::kConflictFree,
-                                  std::string(kThm31AcceptRule));
 }
 
 /// Theorems 4.7/4.8/4.5 (kPaperTheorems) or the full exact ladder
@@ -479,52 +347,11 @@ std::optional<ConflictVerdict> FixedSpaceContext::screen(
     ConflictOracle oracle, const VecI& pi, VerdictCache* cache) const {
   const Impl& im = *impl_;
   if (oracle != ConflictOracle::kBruteForce && im.k + 1 == im.n) {
-    if (cache != nullptr) {
-      // Memoized fused screen: identical decisions (see thm31_cached),
-      // with the rank reject (gamma = 0) handled before the cache since
-      // the zero ray has no canonical key.
-      if (im.cofactor_raw) {
-        Int gamma[kRawScreenMaxN];
-        if (cross_product_raw(*im.cofactor_raw, pi, gamma)) {
-          bool all_zero = true;
-          bool canon_safe = true;  // |INT64_MIN| would trap in gcd/negate
-          for (std::size_t i = 0; i < im.n; ++i) {
-            if (gamma[i] != 0) all_zero = false;
-            if (gamma[i] == INT64_MIN) canon_safe = false;
-          }
-          if (all_zero) return std::nullopt;
-          if (canon_safe) {
-            return thm31_cached(vec_from_raw(gamma, im.n), im.set, oracle,
-                                *cache);
-          }
-        }
-      }
-      return exact::with_fallback(
-          [&]() -> std::optional<ConflictVerdict> {
-            if (!im.checked || !im.checked->cofactor) {
-              throw exact::OverflowError("fixed-space: no checked cofactor");
-            }
-            thread_local linalg::Vector<CheckedInt> gamma;
-            if (!cross_product_into(*im.checked->cofactor, pi, gamma)) {
-              return std::nullopt;
-            }
-            VecI raw(gamma.size());
-            for (std::size_t i = 0; i < gamma.size(); ++i) {
-              raw[i] = gamma[i].value();
-            }
-            return thm31_cached(raw, im.set, oracle, *cache);
-          },
-          [&]() -> std::optional<ConflictVerdict> {
-            linalg::Vector<BigInt> gamma;
-            if (!cross_product_into(*im.big().cofactor, pi, gamma)) {
-              return std::nullopt;
-            }
-            return thm31_cached(gamma, im.set, oracle, *cache);
-          });
-    }
     // One cofactor product decides both Step 5(2) and 5(3): gamma = C pi
     // is zero exactly when rank([S; pi]) < k (the rank reject), and
     // otherwise the gcd-scaled Theorem 2.2 test decides conflict-freeness.
+    // The O(n) test is cheaper than building a cache key, so `cache` is
+    // never consulted here.
     if (im.cofactor_raw) {
       std::optional<Thm31Screen> s =
           theorem_3_1_screen_raw(*im.cofactor_raw, pi, im.set);

@@ -64,10 +64,11 @@ class FixedSpaceContext {
   /// decides both screens (the cross product of an (n-1) x n matrix is
   /// nonzero exactly when it has full rank), so the echelon replay is
   /// skipped on the sweep's hottest path; every other case runs the
-  /// echelon replay and then the oracle.  With a non-null `cache`,
-  /// outcomes are memoized by canonical conflict form under the admission
-  /// policy of verdict_cache.hpp -- results stay bit-identical; only the
-  /// cache's counters observe it.  kBruteForce never touches the cache.
+  /// echelon replay and then the oracle.  A non-null `cache` is used only
+  /// for k <= n-2 under kPaperTheorems or kExact: outcomes are memoized by
+  /// canonical kernel key under the admission policy of verdict_cache.hpp
+  /// -- results stay bit-identical; only the cache's counters observe it.
+  /// At k = n-1, k = n and under kBruteForce the cache is never touched.
   std::optional<mapping::ConflictVerdict> screen(
       ConflictOracle oracle, const VecI& pi,
       VerdictCache* cache = nullptr) const;

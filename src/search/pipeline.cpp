@@ -14,7 +14,6 @@
 #include "search/enumerate.hpp"
 #include "search/fixed_space.hpp"
 #include "search/ilp_formulation.hpp"
-#include "search/verdict_cache.hpp"
 
 namespace sysmap::search {
 
@@ -55,9 +54,6 @@ void finalize(const model::UniformDependenceAlgorithm& algo,
 // themselves run outside the lock, so workers serialize only on the map
 // probes.  Advisory counts go to the search.pipeline.* obs counters.
 struct MappingPipeline::Fusion {
-  VerdictCache* cache = nullptr;
-  std::unique_ptr<VerdictCache> owned_cache;
-
   struct Entry {
     bool found = false;
     Int objective = 0;  ///< certified optimum f* when found
@@ -181,14 +177,8 @@ MappingPipeline::MappingPipeline(PipelineOptions options)
 
 MappingPipeline::~MappingPipeline() = default;
 
-void MappingPipeline::enable_fusion(const FusionOptions& fusion) {
+void MappingPipeline::enable_fusion(const FusionOptions& /*fusion*/) {
   fusion_ = std::make_unique<Fusion>();
-  if (fusion.verdict_cache != nullptr) {
-    fusion_->cache = fusion.verdict_cache;
-  } else {
-    fusion_->owned_cache = std::make_unique<VerdictCache>();
-    fusion_->cache = fusion_->owned_cache.get();
-  }
 }
 
 MappingSolution MappingPipeline::find_time_optimal(
@@ -243,7 +233,6 @@ MappingSolution MappingPipeline::solve(
   SearchOptions search_options;
   search_options.target = options_.target;
   search_options.max_objective = eff_max;
-  search_options.verdict_cache = fusion != nullptr ? fusion->cache : nullptr;
 
   // One fixed-S context per call, shared by the certification sweep and
   // the Procedure-5.1 route (each would otherwise rebuild it).  Built

@@ -15,8 +15,8 @@
 // byte-for-byte the old core::Mapper::find_time_optimal, preserved as the
 // parity oracle.  score() is the fused path for sweeps that score MANY
 // spaces against one algorithm: a pipeline with fusion enabled carries
-//  (a) a shared canonical-form VerdictCache across every certification
-//      sweep and Procedure-5.1 run,
+//  (a) a memo of positive_orthant_forced per dependence matrix, so the
+//      ILP route pays its cone LPs once per D, not once per query,
 //  (b) a schedule-orbit cache mapping canonical_space_schedule_key(S) to
 //      the certified optimal objective f* (or to "none up to bound B"); a
 //      hit re-runs the search seeded at min_objective = f*, which
@@ -26,6 +26,11 @@
 //  (c) an optional caller-supplied incumbent cap on the objective
 //      (Int cap) that truncates searches which provably cannot beat the
 //      best full mapping found so far.
+// Conflict verdicts are NOT memoized: every candidate is decided by
+// FixedSpaceContext::screen directly, exactly as on the cold path.  A memo
+// shared by the sweep workers would put a lock on the hottest path and
+// save no screen work (docs/PERF.md, "Why the pipeline and the sweeps
+// build none").
 // score() without a cap is bit-identical to find_time_optimal() in every
 // field, for any interleaving of spaces and threads; the fusion state is
 // internally synchronized, so one const pipeline may be shared by every
@@ -47,8 +52,6 @@
 #include "systolic/simulator.hpp"
 
 namespace sysmap::search {
-
-class VerdictCache;
 
 enum class Method {
   kAuto,          ///< ILP + certification when applicable, else Procedure 5.1
@@ -106,12 +109,9 @@ class MappingPipeline {
   MappingSolution find_time_optimal(
       const model::UniformDependenceAlgorithm& algo, const MatI& space) const;
 
-  struct FusionOptions {
-    /// Shared verdict cache for every schedule search this pipeline runs;
-    /// borrowed, must outlive the pipeline.  nullptr lets the pipeline own
-    /// a private one (the common sweep setup).
-    VerdictCache* verdict_cache = nullptr;
-  };
+  /// Fusion has no settings today.  The struct stays so that callers can
+  /// keep writing enable_fusion({}).
+  struct FusionOptions {};
 
   /// Arms the fused path.  Call once, before the first score(); the
   /// per-algorithm state (orbit entries, level-prefix counts) resets

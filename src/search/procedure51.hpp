@@ -51,10 +51,13 @@ struct SearchOptions {
   /// Require routability on this target array (condition 4); nullopt
   /// designs a dedicated array instead (conditions 1-3 only).
   std::optional<schedule::Interconnect> target;
-  /// Optional canonical-form verdict cache (see search/verdict_cache.hpp).
-  /// Shareable across searches (multi-S sweeps) and across threads;
-  /// results stay bit-identical -- only the cache's own stats() observe
-  /// it.  Never consulted under kBruteForce.
+  /// Optional canonical-form verdict cache (see search/verdict_cache.hpp),
+  /// an opt-in memo for k <= n-2 under kPaperTheorems or kExact.
+  /// Shareable across searches and across threads; results stay
+  /// bit-identical -- only the cache's own stats() observe it.  Never
+  /// consulted at k = n-1 (Theorem 3.1 is cheaper than a key), at k = n
+  /// or under kBruteForce.  The library's own callers (MappingPipeline,
+  /// the Problem 6.1/6.2 sweeps) never set it.
   VerdictCache* verdict_cache = nullptr;
   /// Optional caller-owned search::FixedSpaceContext for this exact
   /// (J, S) pair, borrowed for the duration of the call; nullptr lets the

@@ -14,7 +14,6 @@
 #include "linalg/ops.hpp"
 #include "mapping/canonical_key.hpp"
 #include "obs/obs.hpp"
-#include "search/fixed_space.hpp"
 #include "search/pipeline.hpp"
 #include "support/thread_pool.hpp"
 #include "search/verdict_cache.hpp"
@@ -406,15 +405,14 @@ std::vector<DesignPoint> pareto_filter(std::vector<DesignPoint> points) {
 }
 
 // One fused pipeline persists across every candidate space of a Problem
-// 6.2 sweep: shared verdict cache, schedule-orbit objective reuse,
-// per-space contexts.  Array design is off -- the sweeps consume only the
-// schedule of each space.
-std::unique_ptr<MappingPipeline> fused_pipeline(
-    const SpaceSearchOptions& options) {
+// 6.2 sweep: schedule-orbit objective reuse and the positive-orthant memo
+// are shared, nothing else is.  Array design is off -- the sweeps consume
+// only the schedule of each space.
+std::unique_ptr<MappingPipeline> fused_pipeline() {
   PipelineOptions fused;
   fused.design_array = false;
   auto pipeline = std::make_unique<MappingPipeline>(fused);
-  pipeline->enable_fusion({options.verdict_cache});
+  pipeline->enable_fusion({});
   return pipeline;
 }
 
@@ -575,25 +573,13 @@ SpaceSearchResult space_optimal_mapping_seed(
   validate_problem61_inputs(algo, pi, options);
 
   SpaceSearchResult best;
-  VerdictCache* cache = options.verdict_cache;
   for (const MatI& space : candidate_spaces(n, options)) {
     ++best.candidates_tested;
-    mapping::ConflictVerdict verdict;
-    if (cache != nullptr) {
-      // Cached path: the fixed-S context's fused rank+conflict screen is
-      // bit-identical to the scratch pair below, and its canonical keys
-      // let verdicts flow between S candidates sharing a conflict form.
-      FixedSpaceContext ctx(algo.index_set(), space);
-      std::optional<mapping::ConflictVerdict> v =
-          ctx.screen(ConflictOracle::kExact, pi, cache);
-      if (!v) continue;
-      verdict = std::move(*v);
-    } else {
-      mapping::MappingMatrix t(space, pi);
-      if (!t.has_full_rank()) continue;
-      verdict = mapping::decide_conflict_free(t, algo.index_set());
-      if (!verdict.conflict_free()) continue;
-    }
+    mapping::MappingMatrix t(space, pi);
+    if (!t.has_full_rank()) continue;
+    mapping::ConflictVerdict verdict =
+        mapping::decide_conflict_free(t, algo.index_set());
+    if (!verdict.conflict_free()) continue;
     ArrayCost cost = evaluate_array_cost(algo, space);
     if (!best.found || cost.total() < best.cost.total() ||
         (cost.total() == best.cost.total() &&
@@ -616,7 +602,6 @@ SpaceSearchResult space_optimal_mapping(
   validate_problem61_inputs(algo, pi, options);
   const model::IndexSet& set = algo.index_set();
   const MatI& dependence = algo.dependence_matrix();
-  VerdictCache* cache = options.verdict_cache;
   std::atomic<Int> best_total{kNoIncumbent};
 
   Sweep<Incumbent> sweep = run_sweep<Incumbent>(
@@ -638,20 +623,12 @@ SpaceSearchResult space_optimal_mapping(
           return;
         }
 
-        // Conflict screen -- branch-for-branch the seed's.
-        mapping::ConflictVerdict verdict;
-        if (cache != nullptr) {
-          FixedSpaceContext ctx(set, space);
-          std::optional<mapping::ConflictVerdict> v =
-              ctx.screen(ConflictOracle::kExact, pi, cache);
-          if (!v) return;
-          verdict = std::move(*v);
-        } else {
-          mapping::MappingMatrix t(space, pi);
-          if (!t.has_full_rank()) return;
-          verdict = mapping::decide_conflict_free(t, set);
-          if (!verdict.conflict_free()) return;
-        }
+        // Conflict screen -- the seed's, verbatim.
+        mapping::MappingMatrix t(space, pi);
+        if (!t.has_full_rank()) return;
+        mapping::ConflictVerdict verdict =
+            mapping::decide_conflict_free(t, set);
+        if (!verdict.conflict_free()) return;
 
         // Branch-and-bound gate 2: cut the image walk once the running
         // distinct-image count alone loses strictly.
@@ -733,7 +710,7 @@ DesignSpaceResult explore_design_space(
   // score() without a cap is bit-identical to the cold per-space calls the
   // seed engine makes, so the Pareto set is unchanged (a cap would break
   // frontier parity: dominated-on-time points can still be on it).
-  const std::unique_ptr<MappingPipeline> pipeline = fused_pipeline(options);
+  const std::unique_ptr<MappingPipeline> pipeline = fused_pipeline();
   using Accepted = std::vector<std::pair<std::uint64_t, DesignPoint>>;
 
   Sweep<Accepted> sweep = run_sweep<Accepted>(
@@ -819,7 +796,7 @@ JointMappingResult joint_time_optimal_mapping(
     const SpaceSearchOptions& options) {
   SYSMAP_SPAN("search.space.joint_time_optimal_mapping");
   const MatI& dependence = algo.dependence_matrix();
-  const std::unique_ptr<MappingPipeline> pipeline = fused_pipeline(options);
+  const std::unique_ptr<MappingPipeline> pipeline = fused_pipeline();
 
   // Cross-space incumbent on the schedule objective.  The cap is the best
   // objective FOUND so far and score() treats it inclusively, so a space

@@ -26,7 +26,7 @@
 // The *_seed functions preserve the original serial std::set engines
 // verbatim.  Each pair is BIT-IDENTICAL in (found, space, cost, verdict,
 // candidates_tested), respectively (pareto, spaces_tested,
-// feasible_spaces), for every verdict-cache setting and thread count --
+// feasible_spaces), for every thread count --
 // tests/space_search_test.cpp and tests/pipeline_parity_test.cpp hold the
 // pairs equal case by case.  How often each shortcut fired is advisory
 // and lives in the search.space.* obs counters (docs/OBSERVABILITY.md).
@@ -42,8 +42,6 @@
 
 namespace sysmap::search {
 
-class VerdictCache;
-
 struct SpaceSearchOptions {
   Int max_entry = 1;            ///< |s_ij| bound for candidate rows
   std::size_t array_dims = 1;   ///< k - 1
@@ -52,12 +50,6 @@ struct SpaceSearchOptions {
   /// comparison happens in unsigned 64-bit; index sets whose size does not
   /// fit int64 are over budget for every representable budget value.
   std::uint64_t enumeration_budget = 2'000'000;
-  /// Optional canonical-form verdict cache (search/verdict_cache.hpp).
-  /// The Problem 6.1 sweep holds Pi fixed and varies S, so distinct
-  /// candidates frequently share a canonical conflict form (e.g. scaled or
-  /// permuted rows) -- exactly the cross-S reuse the cache keys capture.
-  /// Results stay bit-identical; only VerdictCache::stats() observes it.
-  VerdictCache* verdict_cache = nullptr;
 
   /// Workers for the candidate sweep; <= 1 runs the sweep inline on the
   /// caller thread.  Results are bit-identical for every thread count:

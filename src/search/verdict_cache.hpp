@@ -1,7 +1,13 @@
-// Canonical-form verdict cache: memoizes conflict-freedom outcomes across
-// Pi candidates (and across S candidates in the multi-S drivers) keyed by
-// mapping::ConflictKey -- the canonical form of the data the verdict is
-// actually a function of.
+// Canonical-form verdict cache: memoizes k <= n-2 conflict-freedom
+// outcomes across Pi candidates (and across searches that share one cache)
+// keyed by mapping::ConflictKey -- the canonical kernel form of the data
+// the verdict is actually a function of.
+//
+// WHO PASSES ONE.  It is an opt-in memo: only callers of procedure_5_1
+// that set SearchOptions::verdict_cache use it (benchmark replays,
+// bench/search_throughput, tests).  The library itself -- MappingPipeline
+// and the Problem 6.1/6.2 sweeps -- never builds one (docs/PERF.md, "Why
+// the pipeline and the sweeps build none").
 //
 // WHAT IS STORED.  Only what the sweep observes: FixedSpaceContext::screen()
 // returns nullopt for every rejected candidate (no rule, no witness) and
@@ -10,12 +16,10 @@
 // witnesses are never cached because they are never observable through
 // the cached entry points.
 //
-// ADMISSION POLICY (the parity argument, enforced by the callers in
-// fixed_space.cpp / space_optimal.cpp):
-//   - k = n-1, kPaperTheorems or kExact: ALWAYS cacheable.  The verdict is
-//     a function of the primitive conflict ray and the box extents
-//     (Theorem 2.2), both part of the key; the accept rule is the
-//     constant "Theorem 3.1: unique conflict vector feasible".
+// ADMISSION POLICY (the parity argument, enforced in fixed_space.cpp):
+//   - k = n-1 and k = n: never cached.  FixedSpaceContext::screen decides
+//     k = n-1 with Theorem 3.1's O(n) test, which costs less than
+//     building a key; k = n is a rank test.
 //   - k <= n-2, kPaperTheorems: ALWAYS cacheable.  The tail is a single
 //     theorem_4_7/4_8/4_5 call; their accept/unknown conditions read the
 //     kernel block only through sign-class certification, per-row gcds

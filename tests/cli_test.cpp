@@ -167,15 +167,12 @@ TEST(CliTest, MetricsJsonEmitsParseableObject) {
   EXPECT_EQ(json.find(",}"), std::string::npos) << json;
   if (sysmap::obs::kEnabled) {
     EXPECT_NE(json.find("\"obs_enabled\":true"), std::string::npos) << json;
-    // The acceptance contract: verdict-cache hit/miss counters and the
-    // pipeline solve span must be present in the export.
-    EXPECT_NE(json.find("search.verdict_cache.shard00.misses"),
-              std::string::npos)
+    // The acceptance contract: the fused solve's counter and span must be
+    // present in the export.
+    EXPECT_NE(json.find("\"search.pipeline.solves\""), std::string::npos)
         << json;
-    EXPECT_NE(json.find("search.verdict_cache.shard00.hits"),
-              std::string::npos)
+    EXPECT_NE(json.find("\"search.pipeline.solve\""), std::string::npos)
         << json;
-    EXPECT_NE(json.find("search.pipeline.solve"), std::string::npos) << json;
   } else {
     EXPECT_EQ(json, "{\"obs_enabled\":false,\"metrics\":{}}");
   }

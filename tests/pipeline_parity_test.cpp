@@ -3,7 +3,7 @@
 // per solution field, per candidate space, warm or cold caches -- and the
 // fused sweeps built on it (explore_design_space, the joint single-winner
 // query) must reproduce their seed oracles field for field across every
-// thread count, with and without a caller-supplied verdict cache.  Runs
+// thread count.  Runs
 // under TSan in CI (the parallel joint cases exercise the shared fusion
 // state, the schedule-orbit map and the cross-space incumbent cap
 // concurrently).
@@ -19,7 +19,6 @@
 #include "obs/obs.hpp"
 #include "search/pipeline.hpp"
 #include "search/space_optimal.hpp"
-#include "search/verdict_cache.hpp"
 
 namespace sysmap::search {
 namespace {
@@ -66,9 +65,8 @@ void expect_same_solution(const MappingSolution& cold,
 
 // score() with fusion armed and no cap vs the stateless cold path, space
 // by space over the whole candidate pool -- then a SECOND pass over the
-// same pool, where the schedule-orbit entries and the shared verdict
-// cache are warm and every hit must still reproduce the cold result bit
-// for bit.
+// same pool, where the schedule-orbit entries are warm and every hit must
+// still reproduce the cold result bit for bit.
 void run_score_parity(const model::UniformDependenceAlgorithm& algo,
                       Int max_entry, std::size_t dims) {
   SpaceSearchOptions pool_options;
@@ -189,17 +187,12 @@ void run_explore_parity(const model::UniformDependenceAlgorithm& algo,
   base.max_entry = max_entry;
   base.array_dims = dims;
   const DesignSpaceResult seed = explore_design_space_seed(algo, base);
-  for (bool with_cache : {false, true}) {
-    for (std::size_t threads : parity_thread_counts()) {
-      VerdictCache cache;
-      SpaceSearchOptions options = base;
-      if (with_cache) options.verdict_cache = &cache;
-      options.num_threads = threads;
-      expect_same_design(
-          seed, explore_design_space(algo, options),
-          std::string(algo.name()) + "/t" + std::to_string(threads) +
-              (with_cache ? "/cache" : "/nocache"));
-    }
+  for (std::size_t threads : parity_thread_counts()) {
+    SpaceSearchOptions options = base;
+    options.num_threads = threads;
+    expect_same_design(
+        seed, explore_design_space(algo, options),
+        std::string(algo.name()) + "/t" + std::to_string(threads));
   }
 }
 
@@ -209,6 +202,30 @@ TEST(PipelineParity, ExploreDesignSpaceMatmul) {
 
 TEST(PipelineParity, ExploreDesignSpaceUnitCube) {
   run_explore_parity(model::unit_cube_algorithm(4, 2), 1, 1);
+}
+
+// The fused sweep decides every candidate directly: no verdict cache is
+// built, so no search.verdict_cache.* counter moves, serial or parallel.
+TEST(PipelineParity, ExploreDesignSpaceMovesNoVerdictCacheCounter) {
+  const model::UniformDependenceAlgorithm algo =
+      model::unit_cube_algorithm(4, 2);
+  for (std::size_t threads : {1, 4}) {
+    obs::reset();
+    SpaceSearchOptions options;
+    options.num_threads = threads;
+    const DesignSpaceResult result = explore_design_space(algo, options);
+    EXPECT_GT(result.feasible_spaces, 0u);
+    std::uint64_t moved = 0;
+    for (const obs::Metric& m : obs::snapshot()) {
+      if (m.name.rfind("search.verdict_cache.", 0) == 0) {
+        moved += m.total + m.events;
+      }
+    }
+    EXPECT_EQ(moved, 0u) << "threads " << threads;
+    if (obs::kEnabled) {
+      EXPECT_GT(counter_total("search.pipeline.solves"), 0u);
+    }
+  }
 }
 
 void expect_same_joint(const JointMappingResult& seed,
@@ -234,9 +251,7 @@ void run_joint_parity(const model::UniformDependenceAlgorithm& algo,
   base.array_dims = dims;
   const JointMappingResult seed = joint_time_optimal_mapping_seed(algo, base);
   for (std::size_t threads : parity_thread_counts()) {
-    VerdictCache cache;
     SpaceSearchOptions options = base;
-    options.verdict_cache = &cache;
     options.num_threads = threads;
     expect_same_joint(
         seed, joint_time_optimal_mapping(algo, options),

@@ -1,13 +1,12 @@
 // Parity and correctness suite for the fast Problem 6.1/6.2 engine
 // (search/space_optimal.cpp): the fast sweep must be BIT-IDENTICAL to the
 // preserved seed engine in (found, space, cost, verdict,
-// candidates_tested) for every thread count, with and without a verdict
-// cache,
+// candidates_tested) for every thread count,
 // the incremental packed-image counter must agree with the std::set
 // reference on random space/box pairs, the candidate enumerator must stay
 // lazy, and the enumeration-budget check must behave exactly at the
 // boundary.  Runs under TSan in CI (the parallel cases exercise the
-// shared feed, incumbent bound, verdict cache and orbit-count cache).
+// shared feed, incumbent bound and orbit-count cache).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -52,30 +51,21 @@ void expect_same_result(const SpaceSearchResult& seed,
 }
 
 // Runs the seed engine once and the fast engine at every thread count,
-// asserting bit-identical results, with and without a verdict cache.
+// asserting bit-identical results.
 void run_parity_case(const model::UniformDependenceAlgorithm& algo,
                      const VecI& pi, Int max_entry, std::size_t dims) {
   SpaceSearchOptions base;
   base.max_entry = max_entry;
   base.array_dims = dims;
 
-  for (bool with_cache : {false, true}) {
-    VerdictCache seed_cache;
-    SpaceSearchOptions seed_options = base;
-    if (with_cache) seed_options.verdict_cache = &seed_cache;
-    const SpaceSearchResult seed =
-        space_optimal_mapping_seed(algo, pi, seed_options);
-    for (std::size_t threads : parity_thread_counts()) {
-      VerdictCache fast_cache;
-      SpaceSearchOptions options = base;
-      if (with_cache) options.verdict_cache = &fast_cache;
-      options.num_threads = threads;
-      const SpaceSearchResult fast = space_optimal_mapping(algo, pi, options);
-      expect_same_result(seed, fast,
-                         std::string(algo.name()) + "/t" +
-                             std::to_string(threads) +
-                             (with_cache ? "/cache" : "/nocache"));
-    }
+  const SpaceSearchResult seed = space_optimal_mapping_seed(algo, pi, base);
+  for (std::size_t threads : parity_thread_counts()) {
+    SpaceSearchOptions options = base;
+    options.num_threads = threads;
+    const SpaceSearchResult fast = space_optimal_mapping(algo, pi, options);
+    expect_same_result(
+        seed, fast,
+        std::string(algo.name()) + "/t" + std::to_string(threads));
   }
 }
 

@@ -241,9 +241,8 @@ int run(const char* argv0, std::map<std::string, std::string>& args,
     }
     if (flags["--report"]) options.simulate = true;
     // The fused pipeline without a cap is bit-identical to the cold
-    // Mapper path and routes every conflict decision through the shared
-    // VerdictCache, so --metrics sees cache and span activity even for a
-    // single solve.
+    // Mapper path; running through it lets --metrics report the fused
+    // solve's spans and search.pipeline.* counters even for one query.
     search::MappingPipeline pipeline(options);
     pipeline.enable_fusion({});
     search::MappingSolution s = pipeline.score(*algo, space);
