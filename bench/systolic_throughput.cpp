@@ -78,39 +78,6 @@ Timing run_mode(const Case& c, Mode mode, int reps, std::size_t threads) {
   return best;
 }
 
-bool identical(const SimulationReport& a, const SimulationReport& b) {
-  if (a.first_cycle != b.first_cycle || a.last_cycle != b.last_cycle ||
-      a.makespan != b.makespan || a.computations != b.computations ||
-      a.num_processors != b.num_processors ||
-      a.total_conflicts != b.total_conflicts ||
-      a.total_collisions != b.total_collisions ||
-      a.truncated_events != b.truncated_events ||
-      a.buffer_high_water != b.buffer_high_water ||
-      a.values_checked != b.values_checked ||
-      a.values_match != b.values_match ||
-      a.conflicts.size() != b.conflicts.size() ||
-      a.collisions.size() != b.collisions.size()) {
-    return false;
-  }
-  for (std::size_t e = 0; e < a.conflicts.size(); ++e) {
-    const ConflictEvent& p = a.conflicts[e];
-    const ConflictEvent& q = b.conflicts[e];
-    if (!(p.j1 == q.j1) || !(p.j2 == q.j2) || !(p.pe == q.pe) ||
-        p.time != q.time) {
-      return false;
-    }
-  }
-  for (std::size_t e = 0; e < a.collisions.size(); ++e) {
-    const CollisionEvent& p = a.collisions[e];
-    const CollisionEvent& q = b.collisions[e];
-    if (!(p.wire_from == q.wire_from) || p.primitive != q.primitive ||
-        p.dep != q.dep || p.cycle != q.cycle) {
-      return false;
-    }
-  }
-  return a.summary() == b.summary();
-}
-
 void emit_json(std::ostream& json, const Case& c, Mode mode, const Timing& t,
                std::size_t threads) {
   double pps =
@@ -210,8 +177,7 @@ int main(int argc, char** argv) {
     Timing seed = run_mode(c, Mode::kSeed, smoke ? 1 : 3, threads);
     Timing flat = run_mode(c, Mode::kFlat, reps, threads);
     Timing par = run_mode(c, Mode::kParallel, reps, threads);
-    bool ok = identical(seed.report, flat.report) &&
-              identical(seed.report, par.report);
+    bool ok = seed.report == flat.report && seed.report == par.report;
     if (!ok) {
       std::cerr << "PARITY VIOLATION in " << c.name << "\n";
       all_parity_ok = false;

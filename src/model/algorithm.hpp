@@ -54,7 +54,10 @@ struct SemanticAlgorithm {
 
 /// Reference (sequential) execution: evaluates v(j) for every j in J in a
 /// dependence-respecting order and returns the value map keyed by
-/// lexicographic position.  Used to validate systolic executions.
+/// lexicographic position.  Used to validate systolic executions.  The
+/// order is a memoized depth-first walk rooted at each point in
+/// lexicographic order (one pass over J when D is lexicographically
+/// positive); cyclic dependences throw std::domain_error.
 std::vector<Int> evaluate_reference(const SemanticAlgorithm& algo);
 
 /// Lexicographic position of j within the box (row-major ordinal).

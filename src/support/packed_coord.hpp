@@ -4,7 +4,7 @@
 // Several engines in this library need to key hash tables by small integer
 // vectors: image points S j of an index set (the Problem 6.1/6.2 processor
 // counts), PE coordinates of a mapped computation, or composite
-// (PE, primitive, dependence, cycle) wire identities in the systolic
+// (PE, primitive, dependence) wire identities in the systolic
 // simulator.  All of those vectors live in a known box
 // [lo_0, hi_0] x ... x [lo_{r-1}, hi_{r-1}]; whenever the box volume fits
 // in uint64 every point packs into ONE machine word:
@@ -150,8 +150,8 @@ struct ImagePacking {
 /// Open-addressing hash map from uint64 keys to a 32-bit payload (linear
 /// probing, power-of-two capacity, Fibonacci hashing).  Keys must never
 /// equal UINT64_MAX (the empty sentinel) -- guaranteed for ImagePacking
-/// keys, which stay below `product`.  Used by the systolic engine for wire
-/// occupancy counts and buffer levels; doubles past 70% load.
+/// keys, which stay below `product`.  Used by the systolic engine for
+/// per-PE buffer levels; doubles past 70% load.
 class FlatCounterMap {
  public:
   static constexpr std::uint64_t kEmpty = UINT64_MAX;

@@ -16,12 +16,15 @@
 //  * PACKED COORDINATES.  PE coordinates S j and intermediate routing
 //    positions live in a checked bounding box (the image box of S padded
 //    by every route's prefix displacements), so each packs into one uint64
-//    via support/packed_coord.hpp; wire identities (PE, primitive, dep,
-//    cycle) pack the same way.  Occupancy is tracked in open-addressing
-//    tables -- no tree maps, no per-event allocation.  When a box does not
-//    pack (or the index set / cycle range leaves the flat regime), the
-//    engine transparently falls back to the seed path, which the parity
-//    tests exercise as an oracle.
+//    via support/packed_coord.hpp; wire identities (PE, primitive, dep)
+//    pack the same way.  Occupancy is tracked in epoch-stamped
+//    open-addressing tables -- no tree maps, no per-event allocation.  The
+//    conflict pass reuses one table across cycles (epoch = cycle); the
+//    collision pass keeps a ring of h_max tables, one per live wire cycle
+//    (epoch = wire cycle), so each table holds one cycle's wires and stays
+//    cache-resident.  When a box does not pack (or the index set / cycle
+//    range leaves the flat regime), the engine transparently falls back to
+//    the seed path, which the parity tests exercise as an oracle.
 //
 //  * O(1) ORDINALS.  The odometer walk's step counter IS the lexicographic
 //    ordinal, and ordinals are linear in j, so the operand ordinal of
@@ -100,9 +103,8 @@ struct FlatPlan {
   VecI buffer_len;                    ///< delays - hops per dep
   std::vector<std::size_t> buffered;  ///< deps with buffer_len >= 1
   std::size_t h_max = 0;              ///< longest route
-  std::size_t h_total = 0;            ///< sum of route lengths
+  std::size_t routed = 0;             ///< deps with a nonempty route
   std::size_t num_prims = 0;
-  std::uint64_t wire_cycles = 0;  ///< cycle positions in a wire key
 
   static std::optional<FlatPlan> build(
       const model::UniformDependenceAlgorithm& algo, const ArrayDesign& design);
@@ -196,7 +198,7 @@ std::optional<FlatPlan> FlatPlan::build(
     for (std::size_t i = 0; i < plan.m; ++i) {
       plan.routes[i] = hop_sequence(design.k, i);
       plan.h_max = std::max(plan.h_max, plan.routes[i].size());
-      plan.h_total += plan.routes[i].size();
+      if (!plan.routes[i].empty()) ++plan.routed;
       plan.buffer_len[i] = exact::sub_checked(
           design.delays[i], static_cast<Int>(plan.routes[i].size()));
       if (plan.buffer_len[i] >= 1) plan.buffered.push_back(i);
@@ -267,20 +269,17 @@ std::optional<FlatPlan> FlatPlan::build(
       plan.prim_delta[prim] = plan.pe.pack_delta(delta);
     }
 
-    // Wire key space: (position, primitive, dep, cycle) must inject into
-    // uint64 (the cycle coordinate spans cycles + h_max - 1 positions,
-    // offset so the earliest possible wire cycle t_min - h_max + 1 maps
-    // to 0).
+    // Wire keys: (position, primitive, dep) must inject into uint64, and
+    // the wire-cycle epochs 1 .. cycles + h_max - 1 (wire cycle crel is
+    // stamped crel + h_max) must fit the uint32 epoch stamps.
     if (plan.h_max > 0) {
-      plan.wire_cycles =
-          plan.cycles + static_cast<std::uint64_t>(plan.h_max) - 1;
       std::uint64_t prod = plan.pe.product;
       if (__builtin_mul_overflow(
               prod, static_cast<std::uint64_t>(plan.num_prims), &prod) ||
           __builtin_mul_overflow(prod, static_cast<std::uint64_t>(plan.m),
                                  &prod) ||
-          __builtin_mul_overflow(prod, plan.wire_cycles, &prod) ||
-          prod == UINT64_MAX) {
+          prod == UINT64_MAX ||
+          plan.cycles + plan.h_max - 1 >= std::uint64_t{UINT32_MAX}) {
         return std::nullopt;
       }
     }
@@ -291,13 +290,17 @@ std::optional<FlatPlan> FlatPlan::build(
 }
 
 /// Decodes a lexicographic ordinal into box coordinates.
+/// Ordinals and every mu_r + 1 are below the uint32-checked point count,
+/// so the digits come from 32-bit divisions.
 inline void decode_ordinal(const FlatPlan& plan, std::uint64_t ord, VecI& j) {
   j.resize(plan.n);
+  auto rest = static_cast<std::uint32_t>(ord);
   for (std::size_t r = plan.n; r-- > 0;) {
     // SYSMAP_RAW_FASTPATH(bounded: ord % dims_r < dims_r = mu_r + 1, so
     // every digit is a valid in-box coordinate; the division shrinks ord)
-    j[r] = static_cast<Int>(ord % plan.dims[r]);
-    ord /= plan.dims[r];
+    const auto dim = static_cast<std::uint32_t>(plan.dims[r]);
+    j[r] = static_cast<Int>(rest % dim);
+    rest /= dim;
   }
 }
 
@@ -345,6 +348,7 @@ void walk_range(const FlatPlan& plan, std::size_t begin, std::size_t end,
     y[q] = acc;
   }
   std::uint64_t pe_key = plan.pe.pack(y);
+  for (std::size_t i : plan.buffered) buf_starts[i].reserve(end - begin);
 
   for (std::size_t ord = begin;;) {
     cycle_of[ord] = static_cast<std::uint32_t>(t - plan.t_min);
@@ -379,54 +383,91 @@ void walk_range(const FlatPlan& plan, std::size_t begin, std::size_t end,
   }
 }
 
-/// Open-addressing find-or-claim table with epoch stamps: one allocation
-/// reused across every cycle bucket of a conflict chunk.  Entries from
-/// older epochs act as free slots -- a probe never terminates on them
-/// without claiming, so current-epoch entries always form a consistent
-/// linear-probe set.
+/// Open-addressing find-or-claim table with epoch stamps and a uint32
+/// payload per slot.  One table serves a sequence of epochs that never
+/// decreases: entries from older epochs act as free slots -- a probe never
+/// terminates on them without claiming, so current-epoch entries always
+/// form a consistent linear-probe set and moving to the next epoch costs
+/// nothing.  The conflict pass keys it by packed PE with epoch = cycle
+/// (payload: first claimant); the collision pass keeps a ring of them
+/// keyed by wire with epoch = wire cycle (payload: usage count).  The
+/// table doubles past 70% current-epoch load.
 class EpochTable {
  public:
   explicit EpochTable(std::size_t expected) {
     std::size_t cap = 16;
     while (cap < expected * 2) cap <<= 1;
-    keys_.assign(cap, UINT64_MAX);
-    epoch_.assign(cap, 0);
-    first_.assign(cap, 0);
+    slots_.assign(cap, Slot{});
     mask_ = cap - 1;
   }
 
-  /// Returns the payload of the first claimant when `key` is already
-  /// present in `epoch`, else claims (key, epoch, pos) and returns
-  /// UINT32_MAX.
-  std::uint32_t claim(std::uint64_t key, std::uint32_t epoch,
-                      std::uint32_t pos) {
+  /// The payload of `key` in `epoch` (every epoch >= 1); when absent,
+  /// claims a slot with payload 0 and sets `claimed`.
+  std::uint32_t& find_or_claim(std::uint64_t key, std::uint32_t epoch,
+                               bool& claimed) {
+    if (epoch != current_) {
+      current_ = epoch;
+      live_ = 0;
+    }
+    Slot* slot = &slots_[find(key)];
+    claimed = slot->epoch != epoch;
+    if (claimed) {
+      if ((live_ + 1) * 10 > slots_.size() * 7) {
+        grow();
+        slot = &slots_[find(key)];
+      }
+      ++live_;
+      *slot = Slot{key, epoch, 0};
+    }
+    return slot->payload;
+  }
+
+  /// Probe count and doublings accumulated by this table (the chunk sums
+  /// them into the obs counters once, not per probe; always 0 with obs
+  /// off).
+  std::uint64_t probes() const { return probes_; }
+  std::uint64_t growths() const { return growths_; }
+
+ private:
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t epoch = 0;  ///< 0: never claimed
+    std::uint32_t payload = 0;
+  };
+
+  /// The slot holding `key` in the current epoch, else the first
+  /// claimable slot of its probe sequence.
+  std::size_t find(std::uint64_t key) {
     // SYSMAP_RAW_FASTPATH(bounded: wrapping Fibonacci hash and masked
-    // linear probe; current-epoch entries never exceed half the capacity,
-    // so the probe always reaches a claimable slot)
+    // linear probe; current-epoch entries never exceed 70% of the
+    // capacity, so the probe always reaches a claimable slot)
     std::size_t i =
         static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) & mask_;
     if constexpr (obs::kEnabled) ++probes_;
-    while (epoch_[i] == epoch && keys_[i] != key) {
+    while (slots_[i].epoch == current_ && slots_[i].key != key) {
       i = (i + 1) & mask_;
       if constexpr (obs::kEnabled) ++probes_;
     }
-    if (epoch_[i] == epoch) return first_[i];
-    keys_[i] = key;
-    epoch_[i] = epoch;
-    first_[i] = pos;
-    return UINT32_MAX;
+    return i;
   }
 
-  /// Probe count accumulated by this worker's table (the chunk sums it
-  /// into the obs counter once, not per probe; always 0 with obs off).
-  std::uint64_t probes() const { return probes_; }
+  /// Doubles the capacity, keeping only the current epoch's entries.
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.size() * 2, Slot{});
+    mask_ = slots_.size() - 1;
+    for (const Slot& e : old) {
+      if (e.epoch == current_) slots_[find(e.key)] = e;
+    }
+    if constexpr (obs::kEnabled) ++growths_;
+  }
 
- private:
-  std::vector<std::uint64_t> keys_;
-  std::vector<std::uint32_t> epoch_;
-  std::vector<std::uint32_t> first_;
+  std::vector<Slot> slots_;
   std::size_t mask_ = 0;
+  std::uint32_t current_ = 0;  ///< epoch of the live entries
+  std::size_t live_ = 0;       ///< entries claimed in the current epoch
   std::uint64_t probes_ = 0;
+  std::uint64_t growths_ = 0;
 };
 
 struct ConflictChunk {
@@ -448,9 +489,12 @@ void conflict_chunk(const FlatPlan& plan,
   for (std::size_t c = c_lo; c < c_hi; ++c) {
     for (std::uint32_t p = bucket_start[c]; p < bucket_start[c + 1]; ++p) {
       const std::uint32_t ord = order[p];
-      const std::uint32_t first =
-          table.claim(pe_keys[ord], static_cast<std::uint32_t>(c) + 1, p);
-      if (first != UINT32_MAX) {
+      bool claimed = false;
+      std::uint32_t& first = table.find_or_claim(
+          pe_keys[ord], static_cast<std::uint32_t>(c) + 1, claimed);
+      if (claimed) {
+        first = p;
+      } else {
         ++out.total;
         if (out.events.size() < kMaxEvents) {
           ConflictEvent ev;
@@ -480,31 +524,39 @@ struct TaggedCollision {
 struct CollisionChunk {
   std::vector<TaggedCollision> events;
   std::uint64_t total = 0;
+  std::uint64_t growths = 0;  ///< wire-table doublings (obs only)
 };
 
 // SYSMAP_RAW_FASTPATH(bounded: wire cycles are t_min + crel with crel in
 // [-(h_max - 1), cycles), inside the range FlatPlan::build proved with
-// sub_checked(t_min, h_max + 1); packed wire keys stay below the checked
-// radix product and wrap only through pack_delta increments that land back
-// on exact in-box packings)
+// sub_checked(t_min, h_max + 1), and their epochs crel + h_max fit uint32
+// by the same build; packed wire keys stay below the checked radix
+// product and wrap only through pack_delta increments that land back on
+// exact in-box packings)
 void collision_chunk(const FlatPlan& plan,
                      const std::vector<std::uint32_t>& bucket_start,
                      const std::vector<std::uint32_t>& order,
                      const std::vector<std::uint64_t>& pe_keys,
-                     std::size_t c_lo, std::size_t c_hi, CollisionChunk& out) {
+                     std::size_t c_lo, std::size_t c_hi, std::size_t max_bucket,
+                     CollisionChunk& out) {
   // A computation in bucket c touches wire cycles [c - h + 1, c], so this
   // chunk (owning wire cycles [c_lo, c_hi), the first chunk also the
   // pre-t_min warm-up) scans buckets up to c_hi + h_max - 1.
   const std::size_t scan_hi =
       std::min<std::size_t>(static_cast<std::size_t>(plan.cycles),
                             c_hi + plan.h_max - 1);
-  const std::size_t scanned = bucket_start[scan_hi] - bucket_start[c_lo];
-  const std::size_t expected = std::min<std::size_t>(
-      scanned * std::max<std::size_t>(plan.h_total, 1), std::size_t{1} << 22);
-  support::FlatCounterMap wires(expected);
+  // While bucket c is scanned only wire cycles [c - h_max + 1, c] are
+  // live, and they fall on distinct residues mod h_max: a ring of h_max
+  // epoch tables, wire cycle crel in slot (crel + h_max) mod h_max with
+  // epoch crel + h_max, holds each live wire cycle alone.  One bucket puts
+  // at most one key per routed dependence into each table when every
+  // route is one hop; longer routes make a table grow.
+  const std::size_t h_max = plan.h_max;
+  std::vector<EpochTable> ring(h_max, EpochTable(max_bucket * plan.routed));
   const bool own_below = c_lo == 0;
   VecI j;
   for (std::size_t c = c_lo; c < scan_hi; ++c) {
+    const std::size_t c_slot = c % h_max;
     for (std::uint32_t p = bucket_start[c]; p < bucket_start[c + 1]; ++p) {
       const std::uint32_t ord = order[p];
       decode_ordinal(plan, ord, j);
@@ -514,6 +566,8 @@ void collision_chunk(const FlatPlan& plan,
         // Hop 0 occupies wire cycle t1 - h + 1 (cycle-relative crel).
         std::int64_t crel = static_cast<std::int64_t>(c) -
                             static_cast<std::int64_t>(route.size()) + 1;
+        std::size_t slot = c_slot + h_max - route.size() + 1;
+        if (slot >= h_max) slot -= h_max;
         std::uint64_t pos_key = pe_keys[ord] - plan.pe_dep_delta[i];
         for (std::size_t hop = 0; hop < route.size(); ++hop) {
           const bool owned = crel < static_cast<std::int64_t>(c_hi) &&
@@ -522,11 +576,11 @@ void collision_chunk(const FlatPlan& plan,
           if (owned) {
             const std::size_t prim = route[hop];
             const std::uint64_t key =
-                ((pos_key * plan.num_prims + prim) * plan.m + i) *
-                    plan.wire_cycles +
-                static_cast<std::uint64_t>(
-                    crel + static_cast<std::int64_t>(plan.h_max) - 1);
-            if (wires.add(key, 1) == 2) {
+                (pos_key * plan.num_prims + prim) * plan.m + i;
+            const std::uint32_t epoch = static_cast<std::uint32_t>(
+                crel + static_cast<std::int64_t>(h_max));
+            bool claimed = false;
+            if (++ring[slot].find_or_claim(key, epoch, claimed) == 2) {
               ++out.total;
               if (out.events.size() < kMaxEvents) {
                 TaggedCollision tc;
@@ -543,10 +597,12 @@ void collision_chunk(const FlatPlan& plan,
           }
           pos_key += plan.prim_delta[route[hop]];
           ++crel;
+          if (++slot == h_max) slot = 0;
         }
       }
     }
   }
+  for (const EpochTable& table : ring) out.growths += table.growths();
 }
 
 /// Buffer high-water mark for one dependence link: counting-sort the
@@ -572,8 +628,9 @@ Int buffer_high_water(const FlatPlan& plan, std::size_t dep,
     std::vector<std::uint32_t> cursor(offs.begin(), offs.end() - 1);
     for (const BufStart& e : stream) sorted_pe[cursor[e.start]++] = e.pe;
   }
-  support::FlatCounterMap level(
-      std::min<std::size_t>(stream.size(), std::size_t{1} << 20));
+  // One level per packed source PE.
+  support::FlatCounterMap level(static_cast<std::size_t>(
+      std::min<std::uint64_t>(stream.size(), plan.pe.product)));
   std::uint32_t hw = 0;
   const std::uint64_t last = plan.cycles + len;
   for (std::uint64_t c = 0; c <= last; ++c) {
@@ -652,28 +709,31 @@ SimulationReport run_flat(const FlatPlan& plan, const ArrayDesign& design,
     }
   };
 
-  // -- pass 1: odometer walk -> packed PE keys, cycles, buffer starts ----
   std::vector<std::uint64_t> pe_keys(N);
-  std::vector<std::uint32_t> cycle_of(N);
   std::vector<std::vector<std::vector<BufStart>>> buf_streams(workers);
-  run_workers([&](std::size_t w) {
-    buf_streams[w].assign(plan.m, {});
-    walk_range(plan, N * w / workers, N * (w + 1) / workers, pe_keys.data(),
-               cycle_of.data(), buf_streams[w]);
-  });
-
-  // -- time-major bucketing: counting sort by cycle, stable in ordinal ---
-  // (= lexicographic j) order, reproducing the seed's (time, j) sort.
   std::vector<std::uint32_t> bucket_start(plan.cycles + 1, 0);
-  for (std::size_t ord = 0; ord < N; ++ord) ++bucket_start[cycle_of[ord] + 1];
   std::uint32_t max_bucket = 0;
-  for (std::size_t c = 0; c < plan.cycles; ++c) {
-    max_bucket = std::max(max_bucket, bucket_start[c + 1]);
-    bucket_start[c + 1] += bucket_start[c];
-  }
-  SYSMAP_GAUGE("systolic.max_bucket", max_bucket);
   std::vector<std::uint32_t> order(N);
   {
+    SYSMAP_SPAN("systolic.simulate.walk");
+    // -- pass 1: odometer walk -> packed PE keys, cycles, buffer starts --
+    std::vector<std::uint32_t> cycle_of(N);
+    run_workers([&](std::size_t w) {
+      buf_streams[w].assign(plan.m, {});
+      walk_range(plan, N * w / workers, N * (w + 1) / workers,
+                 pe_keys.data(), cycle_of.data(), buf_streams[w]);
+    });
+
+    // -- time-major bucketing: counting sort by cycle, stable in ordinal -
+    // (= lexicographic j) order, reproducing the seed's (time, j) sort.
+    for (std::size_t ord = 0; ord < N; ++ord) {
+      ++bucket_start[cycle_of[ord] + 1];
+    }
+    for (std::size_t c = 0; c < plan.cycles; ++c) {
+      max_bucket = std::max(max_bucket, bucket_start[c + 1]);
+      bucket_start[c + 1] += bucket_start[c];
+    }
+    SYSMAP_GAUGE("systolic.max_bucket", max_bucket);
     std::vector<std::uint32_t> cursor(bucket_start.begin(),
                                       bucket_start.end() - 1);
     for (std::size_t ord = 0; ord < N; ++ord) {
@@ -700,6 +760,7 @@ SimulationReport run_flat(const FlatPlan& plan, const ArrayDesign& design,
   // sums and per-chunk event lists concatenate in global (cycle, position)
   // order -- the seed's emission order.
   {
+    SYSMAP_SPAN("systolic.simulate.conflicts");
     std::vector<ConflictChunk> chunks(nchunks);
     run_workers([&](std::size_t w) {
       if (w >= nchunks) return;
@@ -721,17 +782,21 @@ SimulationReport run_flat(const FlatPlan& plan, const ArrayDesign& design,
 
   // -- data-link collisions ---------------------------------------------
   if (plan.h_max > 0) {
+    SYSMAP_SPAN("systolic.simulate.collisions");
     std::vector<CollisionChunk> chunks(nchunks);
     run_workers([&](std::size_t w) {
       if (w >= nchunks) return;
       collision_chunk(plan, bucket_start, order, pe_keys, cuts[w],
-                      cuts[w + 1], chunks[w]);
+                      cuts[w + 1], max_bucket, chunks[w]);
     });
     std::vector<TaggedCollision> all;
+    std::uint64_t growths = 0;
     for (CollisionChunk& ch : chunks) {
       report.total_collisions += ch.total;
+      growths += ch.growths;
       for (TaggedCollision& tc : ch.events) all.push_back(std::move(tc));
     }
+    SYSMAP_COUNT("systolic.wire_table_growths", growths);
     std::sort(all.begin(), all.end(),
               [](const TaggedCollision& a, const TaggedCollision& b) {
                 return std::tie(a.pos, a.dep, a.hop) <
@@ -747,19 +812,22 @@ SimulationReport run_flat(const FlatPlan& plan, const ArrayDesign& design,
   // -- buffer occupancy --------------------------------------------------
   report.buffer_high_water.assign(plan.m, 0);
   if (!plan.buffered.empty()) {
-    std::vector<std::vector<BufStart>> dep_streams(plan.m);
+    SYSMAP_SPAN("systolic.simulate.buffers");
+    // Worker 0's stream of each dependence collects the later workers'
+    // streams, which keeps the walk's ordinal order.
+    std::vector<std::vector<BufStart>>& dep_streams = buf_streams[0];
     for (std::size_t i : plan.buffered) {
       std::size_t total = 0;
       for (std::size_t w = 0; w < workers; ++w) {
         total += buf_streams[w][i].size();
       }
       dep_streams[i].reserve(total);
-      for (std::size_t w = 0; w < workers; ++w) {
+      for (std::size_t w = 1; w < workers; ++w) {
         dep_streams[i].insert(dep_streams[i].end(), buf_streams[w][i].begin(),
                               buf_streams[w][i].end());
+        buf_streams[w][i] = {};
       }
     }
-    buf_streams.clear();
     run_workers([&](std::size_t w) {
       for (std::size_t bi = w; bi < plan.buffered.size(); bi += workers) {
         const std::size_t i = plan.buffered[bi];
@@ -770,7 +838,10 @@ SimulationReport run_flat(const FlatPlan& plan, const ArrayDesign& design,
   }
 
   // -- value-level execution --------------------------------------------
-  if (semantic) value_pass(plan, *semantic, order, report);
+  if (semantic) {
+    SYSMAP_SPAN("systolic.simulate.values");
+    value_pass(plan, *semantic, order, report);
+  }
 
   report.truncated_events =
       report.total_conflicts > report.conflicts.size() ||

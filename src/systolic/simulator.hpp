@@ -50,13 +50,18 @@ struct ConflictEvent {
   VecI j1, j2;   ///< the two computations mapped together
   VecI pe;       ///< processor coordinates
   Int time = 0;  ///< cycle
+
+  friend bool operator==(const ConflictEvent&, const ConflictEvent&) = default;
 };
 
 struct CollisionEvent {
-  VecI wire_from;        ///< PE at the source end of the wire
-  std::size_t primitive; ///< which interconnection primitive
-  std::size_t dep;       ///< dependence class
+  VecI wire_from;             ///< PE at the source end of the wire
+  std::size_t primitive = 0;  ///< which interconnection primitive
+  std::size_t dep = 0;        ///< dependence class
   Int cycle = 0;
+
+  friend bool operator==(const CollisionEvent&,
+                         const CollisionEvent&) = default;
 };
 
 struct SimulationReport {
@@ -97,6 +102,12 @@ struct SimulationReport {
   }
 
   std::string summary() const;
+
+  /// Field-wise equality: every scalar, both event lists in order, the
+  /// buffer marks and the value verdict (what "bit-identical" means for
+  /// the engine/seed parity).
+  friend bool operator==(const SimulationReport&,
+                         const SimulationReport&) = default;
 };
 
 /// Tuning knobs for the high-throughput engine.  Every setting is

@@ -3,6 +3,13 @@
 // evaluation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "model/algorithm.hpp"
 #include "model/gallery.hpp"
 #include "model/index_set.hpp"
@@ -231,6 +238,138 @@ TEST(Reference, MatvecComputesProduct) {
     EXPECT_EQ(y[i], expect);
   }
   EXPECT_THROW(semantic_matvec(3, MatI(2, 2), x), std::invalid_argument);
+}
+
+// An evaluator written from the definition, independent of the library's
+// depth-first walk: visit J sorted by (Pi j, lexicographic j).  Pi D > 0
+// puts every in-set operand j - d_i strictly earlier in that order, so each
+// operand is computed before its use.
+std::vector<Int> evaluate_in_schedule_order(const SemanticAlgorithm& algo,
+                                            const VecI& pi) {
+  const IndexSet& set = algo.structure.index_set();
+  const MatI& d = algo.structure.dependence_matrix();
+  std::vector<VecI> points;
+  set.for_each([&](const VecI& j) { points.push_back(j); });
+  auto time = [&](const VecI& j) {
+    Int t = 0;
+    for (std::size_t r = 0; r < j.size(); ++r) t += pi[r] * j[r];
+    return t;
+  };
+  std::stable_sort(points.begin(), points.end(),
+                   [&](const VecI& a, const VecI& b) {
+                     return time(a) < time(b);
+                   });
+  std::map<VecI, Int> value;
+  for (const VecI& j : points) {
+    std::vector<Int> inputs(d.cols(), 0);
+    for (std::size_t i = 0; i < d.cols(); ++i) {
+      VecI src(j.size());
+      for (std::size_t r = 0; r < j.size(); ++r) src[r] = j[r] - d(r, i);
+      if (set.contains(src)) {
+        const auto it = value.find(src);
+        EXPECT_NE(it, value.end()) << "operand used before it was computed";
+        if (it != value.end()) inputs[i] = it->second;
+      } else {
+        inputs[i] = algo.boundary(j, i);
+      }
+    }
+    value[j] = algo.compute(j, inputs);
+  }
+  std::vector<Int> out;
+  set.for_each([&](const VecI& j) { out.push_back(value[j]); });
+  return out;
+}
+
+// A body whose result depends on j and on every operand in its position,
+// so a swapped or misplaced operand changes the value.
+constexpr Int kModulus = 1000003;
+
+SemanticAlgorithm mixing_body(UniformDependenceAlgorithm structure) {
+  return SemanticAlgorithm{
+      std::move(structure),
+      [](const VecI& j, const std::vector<Int>& in) {
+        Int v = 1;
+        for (Int x : j) v = (v * 31 + x) % kModulus;
+        for (Int x : in) v = (v * 37 + x) % kModulus;
+        return v;
+      },
+      [](const VecI& j, std::size_t dep) {
+        Int v = 7 + 11 * static_cast<Int>(dep);
+        for (std::size_t r = 0; r < j.size(); ++r) {
+          v += 5 * static_cast<Int>(r + 1) * j[r];
+        }
+        return v % kModulus;
+      }};
+}
+
+TEST(Reference, LexNegativeAndOutOfBoxColumnsMatchScheduleOrder) {
+  // d_1 = (-1, 2) is lexicographically negative but Pi d_1 = 1 > 0 for
+  // Pi = (1, 1), so the walk must evaluate j - d_1 (a lexicographically
+  // later point) first; d_3 = (0, 4) leaves the box (|4| > mu_2 = 3), so
+  // its operand is always the boundary value.
+  const VecI pi{1, 1};
+  const SemanticAlgorithm algo = mixing_body(UniformDependenceAlgorithm(
+      "lex-negative", IndexSet(VecI{3, 3}), MatI{{-1, 1, 0}, {2, 0, 4}}));
+  EXPECT_EQ(evaluate_reference(algo), evaluate_in_schedule_order(algo, pi));
+}
+
+TEST(Reference, RandomAlgorithmsMatchScheduleOrderEvaluator) {
+  // Seeded small (J, D, Pi) with Pi D > 0.  Entries of D range over
+  // [-3, 3] and bounds over [1, 3], so the draws include columns that are
+  // lexicographically negative yet in reach (the walk pushes their
+  // operands), columns with |d_ri| > mu_r (never an in-set operand), and
+  // dimensions at the smallest bound mu_r = 1 (IndexSet rejects mu_r = 0,
+  // Equation 2.5).
+  std::mt19937 rng(20261018);
+  std::uniform_int_distribution<int> dim_dist(1, 3);
+  std::uniform_int_distribution<Int> mu_dist(1, 3);
+  std::uniform_int_distribution<Int> dep_dist(-3, 3);
+  std::uniform_int_distribution<Int> pi_dist(0, 3);
+  std::size_t accepted = 0;
+  std::size_t lex_negative_in_reach = 0;
+  std::size_t out_of_box = 0;
+  std::size_t unit_bound = 0;
+  for (std::size_t attempt = 0; accepted < 60 && attempt < 20000; ++attempt) {
+    const auto n = static_cast<std::size_t>(dim_dist(rng));
+    const auto m = static_cast<std::size_t>(dim_dist(rng));
+    VecI mu(n);
+    VecI pi(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      mu[r] = mu_dist(rng);
+      pi[r] = pi_dist(rng);
+    }
+    MatI d(n, m);
+    bool valid = true;
+    for (std::size_t i = 0; i < m && valid; ++i) {
+      Int dot = 0;
+      for (std::size_t r = 0; r < n; ++r) {
+        d(r, i) = dep_dist(rng);
+        dot += pi[r] * d(r, i);
+      }
+      valid = dot > 0;  // also rules out a zero column
+    }
+    if (!valid) continue;
+    ++accepted;
+    for (std::size_t i = 0; i < m; ++i) {
+      bool in_reach = true;
+      Int leading = 0;
+      for (std::size_t r = 0; r < n; ++r) {
+        if (d(r, i) < -mu[r] || d(r, i) > mu[r]) in_reach = false;
+        if (leading == 0) leading = d(r, i);
+      }
+      if (!in_reach) ++out_of_box;
+      if (in_reach && leading < 0) ++lex_negative_in_reach;
+    }
+    if (std::find(mu.begin(), mu.end(), 1) != mu.end()) ++unit_bound;
+    const SemanticAlgorithm algo = mixing_body(
+        UniformDependenceAlgorithm("random", IndexSet(mu), d));
+    EXPECT_EQ(evaluate_reference(algo), evaluate_in_schedule_order(algo, pi))
+        << "random algorithm " << accepted << " (attempt " << attempt << ")";
+  }
+  EXPECT_EQ(accepted, 60u);
+  EXPECT_GT(lex_negative_in_reach, 0u);
+  EXPECT_GT(out_of_box, 0u);
+  EXPECT_GT(unit_bound, 0u);
 }
 
 TEST(Reference, DetectsCyclicDependences) {

@@ -18,6 +18,8 @@
 #include "search/space_optimal.hpp"
 #include "support/flat_image_set.hpp"
 #include "support/thread_pool.hpp"
+#include "systolic/array.hpp"
+#include "systolic/simulator.hpp"
 
 namespace sysmap {
 namespace {
@@ -265,6 +267,39 @@ TEST(ObsTest, SpaceSweepCountersRecordEachShortcut) {
   EXPECT_EQ(find_metric(all, "search.space.bnb_pruned").total, 18u);
   EXPECT_EQ(find_metric(all, "search.space.walks_early_exited").total, 10u);
   EXPECT_EQ(find_metric(all, "search.space.injective_shortcuts").total, 0u);
+}
+
+TEST(ObsTest, SimulateRecordsOneSpanPerPass) {
+  if (!obs::kEnabled) GTEST_SKIP() << "SYSMAP_OBS=OFF build";
+  // Example 5.1's design (S = [1 1 -1], Pi = [1 4 1]) routes every
+  // dependence and buffers the A link, so one value-checked simulate runs
+  // every pass of the flat engine once, and the value pass runs the
+  // sequential reference once.
+  const Int mu = 4;
+  MatI a(5, 5);
+  MatI b(5, 5);
+  for (std::size_t i = 0; i < 5; ++i) {
+    for (std::size_t j = 0; j < 5; ++j) {
+      a(i, j) = static_cast<Int>(i + 2 * j);
+      b(i, j) = static_cast<Int>(3 * i) - static_cast<Int>(j);
+    }
+  }
+  const model::SemanticAlgorithm sem = model::semantic_matmul(mu, a, b);
+  const systolic::ArrayDesign design = systolic::design_dedicated_array(
+      sem.structure, mapping::MappingMatrix(MatI{{1, 1, -1}}, VecI{1, mu, 1}));
+  obs::reset();
+  const systolic::SimulationReport r = systolic::simulate(sem, design);
+  ASSERT_TRUE(r.values_checked && r.values_match);
+  const std::vector<obs::Metric> all = obs::snapshot();
+  for (const char* name :
+       {"systolic.simulate", "systolic.simulate.walk",
+        "systolic.simulate.conflicts", "systolic.simulate.collisions",
+        "systolic.simulate.buffers", "systolic.simulate.values",
+        "model.evaluate_reference"}) {
+    const obs::Metric m = find_metric(all, name);
+    EXPECT_EQ(m.kind, obs::Kind::kSpan) << name;
+    EXPECT_EQ(m.events, 1u) << name;
+  }
 }
 
 TEST(ObsTest, TableFormatsEveryMetric) {

@@ -11,14 +11,18 @@
 //    up here),
 //  - the packed flat path and, through a design whose cycle range exceeds
 //    the flat engine's cap, the seed fallback inside simulate(),
-// plus a randomized small-case sweep against an independent brute-force
+// plus randomized small-case sweeps (dedicated arrays, and multi-hop
+// routes on a nearest-neighbour line) against an independent brute-force
 // recount of PE/time conflicts and wire collisions written directly in
 // this file (so engine and seed cannot share a bug with the oracle).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -72,6 +76,7 @@ void expect_reports_equal(const SimulationReport& seed,
     EXPECT_EQ(seed.collisions[e].cycle, fast.collisions[e].cycle);
   }
   EXPECT_EQ(seed.summary(), fast.summary());
+  EXPECT_EQ(seed, fast);
 }
 
 struct ParityCase {
@@ -296,6 +301,26 @@ BruteCounts brute_force_counts(const model::UniformDependenceAlgorithm& algo,
   return counts;
 }
 
+// Checks one design against the seed and the brute-force oracle at every
+// parity thread count.
+void expect_matches_seed_and_oracle(
+    const model::UniformDependenceAlgorithm& algo, const ArrayDesign& design,
+    const std::string& label) {
+  const SimulationReport seed = simulate_seed(algo, design);
+  const BruteCounts oracle = brute_force_counts(algo, design);
+  EXPECT_EQ(seed.total_conflicts, oracle.conflicts) << label;
+  EXPECT_EQ(seed.total_collisions, oracle.collisions) << label;
+  for (std::size_t threads : parity_thread_counts()) {
+    SimulationOptions options;
+    options.num_threads = threads;
+    const SimulationReport fast = simulate(algo, design, options);
+    const std::string sub = label + " threads=" + std::to_string(threads);
+    expect_reports_equal(seed, fast, sub);
+    EXPECT_EQ(fast.total_conflicts, oracle.conflicts) << sub;
+    EXPECT_EQ(fast.total_collisions, oracle.collisions) << sub;
+  }
+}
+
 TEST(SimulatorParity, RandomizedSmallCasesAgainstBruteForceOracle) {
   std::mt19937 rng(20260808);
   std::uniform_int_distribution<int> dim_dist(2, 3);
@@ -341,23 +366,105 @@ TEST(SimulatorParity, RandomizedSmallCasesAgainstBruteForceOracle) {
     ++accepted;
     std::ostringstream label;
     label << "random case " << accepted << " (attempt " << attempts << ")";
-    const SimulationReport seed = simulate_seed(algo, *design);
-    const BruteCounts oracle = brute_force_counts(algo, *design);
-    EXPECT_EQ(seed.total_conflicts, oracle.conflicts) << label.str();
-    EXPECT_EQ(seed.total_collisions, oracle.collisions) << label.str();
-    for (std::size_t threads : parity_thread_counts()) {
-      SimulationOptions options;
-      options.num_threads = threads;
-      const SimulationReport fast = simulate(algo, *design, options);
-      const std::string sub =
-          label.str() + " threads=" + std::to_string(threads);
-      expect_reports_equal(seed, fast, sub);
-      EXPECT_EQ(fast.total_conflicts, oracle.conflicts) << sub;
-      EXPECT_EQ(fast.total_collisions, oracle.collisions) << sub;
-    }
+    expect_matches_seed_and_oracle(algo, *design, label.str());
   }
   EXPECT_EQ(accepted, 25u) << "random design generator starved after "
                            << attempts << " attempts";
+}
+
+std::uint64_t wire_table_growths() {
+  for (const obs::Metric& m : obs::snapshot()) {
+    if (m.name == "systolic.wire_table_growths") return m.total;
+  }
+  return 0;
+}
+
+TEST(SimulatorParity, RandomMultiHopRoutesAgainstBruteForceOracle) {
+  // Designs routed on a nearest-neighbour line, so a dependence with
+  // |S d| >= 2 takes several hops and one computation's datum occupies
+  // several wire cycles; the engine then keeps several wire cycles live
+  // at once.  Some of the drawn designs collide.
+  std::mt19937 rng(20261018);
+  std::uniform_int_distribution<int> dim_dist(2, 3);
+  std::uniform_int_distribution<Int> mu_dist(1, 3);
+  std::uniform_int_distribution<Int> dep_dist(-1, 2);
+  std::uniform_int_distribution<Int> s_dist(-2, 2);
+  std::uniform_int_distribution<Int> pi_dist(0, 4);
+  const schedule::Interconnect line =
+      schedule::Interconnect::nearest_neighbor(1);
+  std::size_t accepted = 0;
+  std::size_t colliding = 0;
+  std::size_t attempts = 0;
+  while (accepted < 25 && attempts < 20000) {
+    ++attempts;
+    const std::size_t n = static_cast<std::size_t>(dim_dist(rng));
+    const std::size_t m = static_cast<std::size_t>(dim_dist(rng)) - 1;
+    VecI mu(n);
+    MatI d(n, m);
+    MatI s(1, n);
+    VecI pi(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      mu[r] = mu_dist(rng);
+      s(0, r) = s_dist(rng);
+      pi[r] = pi_dist(rng);
+    }
+    bool nonzero = true;
+    for (std::size_t i = 0; i < m; ++i) {
+      bool any = false;
+      for (std::size_t r = 0; r < n; ++r) {
+        d(r, i) = dep_dist(rng);
+        any = any || d(r, i) != 0;
+      }
+      nonzero = nonzero && any;
+    }
+    if (!nonzero) continue;
+    model::UniformDependenceAlgorithm algo("random", model::IndexSet(mu), d);
+    std::optional<ArrayDesign> design;
+    try {
+      design = design_on_interconnect(algo, mapping::MappingMatrix(s, pi),
+                                      line);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    if (!design) continue;
+    Int h_max = 0;
+    for (Int h : design->hops) h_max = std::max(h_max, h);
+    if (h_max < 2) continue;
+    ++accepted;
+    const std::string label = "multi-hop case " + std::to_string(accepted) +
+                              " (attempt " + std::to_string(attempts) + ")";
+    if (simulate_seed(algo, *design).total_collisions > 0) ++colliding;
+    expect_matches_seed_and_oracle(algo, *design, label);
+  }
+  EXPECT_EQ(accepted, 25u) << "multi-hop generator starved after "
+                           << attempts << " attempts";
+  EXPECT_GT(colliding, 0u);
+}
+
+TEST(SimulatorParity, WireCyclePopulationBeyondTheInitialTableSize) {
+  // S = (5, 0, 1), Pi = (6, 1, 1), d = (1, 0, 0) on a nearest-neighbour
+  // line: every datum takes 5 hops, so a wire cycle carries the data of
+  // five consecutive cycles, at position -(j_1 + j_2) + const.  A bucket
+  // holds at most 14 computations, and the engine sizes each wire table
+  // for one bucket per routed dependence (32 slots, doubling past 22
+  // keys), while a wire cycle holds up to 31 distinct wires.  The data of
+  // (j_1, j_2, 0) and (j_1, j_2, 1) share their wires one cycle apart, so
+  // the collisions pair keys claimed before a doubling with hits after it.
+  const model::UniformDependenceAlgorithm algo(
+      "five-hop", model::IndexSet(VecI{6, 40, 1}), MatI{{1}, {0}, {0}});
+  const std::optional<ArrayDesign> design = design_on_interconnect(
+      algo, mapping::MappingMatrix(MatI{{5, 0, 1}}, VecI{6, 1, 1}),
+      schedule::Interconnect::nearest_neighbor(1));
+  ASSERT_TRUE(design.has_value());
+  ASSERT_EQ(design->hops, VecI{5});
+  const std::uint64_t before = wire_table_growths();
+  const SimulationReport single = simulate(algo, *design);
+  if (obs::kEnabled) {
+    EXPECT_GT(wire_table_growths(), before);
+  }
+  EXPECT_GT(single.total_collisions, 0u);
+  EXPECT_EQ(single, simulate_seed(algo, *design));
+  expect_matches_seed_and_oracle(algo, *design, "five-hop");
 }
 
 }  // namespace
