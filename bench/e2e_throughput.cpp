@@ -14,15 +14,17 @@
 //                   fast packed-image costing
 //   fused_parallel  the same, fanned over the thread pool with the
 //                   deterministic (objective, total, procs, pos) reduction
-// All modes are bit-identical by construction in (found, space, pi,
-// objective, makespan, verdict, cost, spaces_tested); this harness asserts
-// that before reporting any number and exits nonzero on violation.
+// All modes are bit-identical by construction in every field of
+// JointMappingResult; this harness asserts that (operator==) before
+// reporting any number and exits nonzero on violation.
 //
 // Output: a human-readable table on stdout and JSON lines (one object per
-// case/mode plus per-case speedup summaries) written to
+// case/mode with the median time of its reps and their range, plus
+// per-case speedup summaries) written to
 // $SYSMAP_BENCH_JSON or BENCH_e2e.json.  Set SYSMAP_BENCH_SMOKE=1 for a
 // single-rep quick pass (CI smoke); pass --threads N to size the parallel
 // mode (default 4).
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -46,7 +48,10 @@ struct Case {
 };
 
 struct Timing {
-  double ms = 0;
+  double ms = 0;  ///< median over the reps
+  double ms_min = 0;
+  double ms_max = 0;
+  int reps = 0;
   search::JointMappingResult result;
 };
 
@@ -73,9 +78,13 @@ search::SpaceSearchOptions mode_options(const Case& c, Mode mode,
   return opts;
 }
 
+// Times `reps` runs and reports their median (with the range): a best-of
+// row would favor whichever rep the host happened to leave alone.  Every
+// rep must return the first rep's result.
 Timing run_mode(const Case& c, Mode mode, int reps, std::size_t threads) {
   const search::SpaceSearchOptions opts = mode_options(c, mode, threads);
-  Timing best;
+  Timing out;
+  std::vector<double> samples;
   for (int rep = 0; rep < reps; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
     search::JointMappingResult r =
@@ -83,24 +92,23 @@ Timing run_mode(const Case& c, Mode mode, int reps, std::size_t threads) {
             ? search::joint_time_optimal_mapping_seed(c.algo, opts)
             : search::joint_time_optimal_mapping(c.algo, opts);
     auto t1 = std::chrono::steady_clock::now();
-    double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (rep == 0 || ms < best.ms) {
-      best.ms = ms;
-      best.result = std::move(r);
+    samples.push_back(
+        std::chrono::duration<double, std::milli>(t1 - t0).count());
+    if (rep == 0) {
+      out.result = std::move(r);
+    } else if (!(r == out.result)) {
+      std::cerr << "PARITY VIOLATION across reps in " << c.name << "\n";
+      std::exit(1);
     }
   }
-  return best;
-}
-
-bool identical(const search::JointMappingResult& a,
-               const search::JointMappingResult& b) {
-  if (a.found != b.found || a.spaces_tested != b.spaces_tested) return false;
-  if (!a.found) return true;
-  return a.space == b.space && a.pi == b.pi && a.objective == b.objective &&
-         a.makespan == b.makespan && a.verdict.status == b.verdict.status &&
-         a.verdict.rule == b.verdict.rule &&
-         a.cost.processors == b.cost.processors &&
-         a.cost.wire_length == b.cost.wire_length;
+  std::sort(samples.begin(), samples.end());
+  const std::size_t mid = samples.size() / 2;
+  out.ms = samples.size() % 2 == 1 ? samples[mid]
+                                   : (samples[mid - 1] + samples[mid]) / 2;
+  out.ms_min = samples.front();
+  out.ms_max = samples.back();
+  out.reps = reps;
+  return out;
 }
 
 void emit_json(std::ostream& json, const Case& c, Mode mode, const Timing& t,
@@ -115,7 +123,8 @@ void emit_json(std::ostream& json, const Case& c, Mode mode, const Timing& t,
        << ",\"oracle\":\"kExact\""
        << ",\"mode\":\"" << mode_name(mode) << "\""
        << ",\"threads\":" << (mode == Mode::kFusedParallel ? threads : 1)
-       << ",\"ms\":" << t.ms
+       << ",\"ms\":" << t.ms << ",\"ms_min\":" << t.ms_min
+       << ",\"ms_max\":" << t.ms_max << ",\"reps\":" << t.reps
        << ",\"spaces_tested\":" << t.result.spaces_tested
        << ",\"candidates_per_sec\":" << sps
        << ",\"found\":" << (t.result.found ? "true" : "false")
@@ -175,8 +184,7 @@ int main(int argc, char** argv) {
     Timing cold = run_mode(c, Mode::kCold, smoke ? 1 : 3, threads);
     Timing fused = run_mode(c, Mode::kFused, reps, threads);
     Timing par = run_mode(c, Mode::kFusedParallel, reps, threads);
-    bool ok = identical(cold.result, fused.result) &&
-              identical(cold.result, par.result);
+    bool ok = cold.result == fused.result && cold.result == par.result;
     if (!ok) {
       std::cerr << "PARITY VIOLATION in " << c.name << "\n";
       all_parity_ok = false;

@@ -6,17 +6,19 @@
 //   serial    the fast engine (packed-image counting, orbit-canonical
 //             count reuse, wire-first branch-and-bound) on one thread
 //   parallel  the fast engine fanned over the thread pool
-// All modes are bit-identical by construction in (found, space, cost,
-// verdict, candidates_tested) -- this harness asserts that before
+// All modes are bit-identical by construction in every field of
+// SpaceSearchResult -- this harness asserts that (operator==) before
 // reporting any number.  A final Problem 6.2 section holds the fast
 // Pareto sweep equal to its seed the same way.
 //
 // Output: a human-readable table on stdout and JSON lines (one object per
-// case/mode plus per-case speedup summaries, then one obs snapshot whose
+// case/mode with the median time of its reps and their range, plus
+// per-case speedup summaries, then one obs snapshot whose
 // search.space.* counters report how often each shortcut fired) written
 // to $SYSMAP_BENCH_JSON or BENCH_space.json.  Set SYSMAP_BENCH_SMOKE=1
 // for a single-rep quick pass (CI smoke); pass --threads N to size the
 // parallel mode (default 4).
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -41,7 +43,10 @@ struct Case {
 };
 
 struct Timing {
-  double ms = 0;
+  double ms = 0;  ///< median over the reps
+  double ms_min = 0;
+  double ms_max = 0;
+  int reps = 0;
   search::SpaceSearchResult result;
 };
 
@@ -68,31 +73,36 @@ search::SpaceSearchOptions mode_options(const Case& c, Mode mode,
   return opts;
 }
 
+// Times `reps` runs and reports their median (with the range): a best-of
+// row would favor whichever rep the host happened to leave alone.  Every
+// rep must return the first rep's result.
 Timing run_mode(const Case& c, Mode mode, int reps, std::size_t threads) {
   const search::SpaceSearchOptions opts = mode_options(c, mode, threads);
-  Timing best;
+  Timing out;
+  std::vector<double> samples;
   for (int rep = 0; rep < reps; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
     search::SpaceSearchResult r =
         mode == Mode::kSeed ? search::space_optimal_mapping_seed(c.algo, c.pi, opts)
                             : search::space_optimal_mapping(c.algo, c.pi, opts);
     auto t1 = std::chrono::steady_clock::now();
-    double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (rep == 0 || ms < best.ms) {
-      best.ms = ms;
-      best.result = std::move(r);
+    samples.push_back(
+        std::chrono::duration<double, std::milli>(t1 - t0).count());
+    if (rep == 0) {
+      out.result = std::move(r);
+    } else if (!(r == out.result)) {
+      std::cerr << "PARITY VIOLATION across reps in " << c.name << "\n";
+      std::exit(1);
     }
   }
-  return best;
-}
-
-bool identical(const search::SpaceSearchResult& a,
-               const search::SpaceSearchResult& b) {
-  return a.found == b.found && a.space == b.space &&
-         a.cost.processors == b.cost.processors &&
-         a.cost.wire_length == b.cost.wire_length &&
-         a.verdict.status == b.verdict.status && a.verdict.rule == b.verdict.rule &&
-         a.candidates_tested == b.candidates_tested;
+  std::sort(samples.begin(), samples.end());
+  const std::size_t mid = samples.size() / 2;
+  out.ms = samples.size() % 2 == 1 ? samples[mid]
+                                   : (samples[mid - 1] + samples[mid]) / 2;
+  out.ms_min = samples.front();
+  out.ms_max = samples.back();
+  out.reps = reps;
+  return out;
 }
 
 void emit_json(std::ostream& json, const Case& c, Mode mode, const Timing& t,
@@ -107,31 +117,13 @@ void emit_json(std::ostream& json, const Case& c, Mode mode, const Timing& t,
        << ",\"oracle\":\"kExact\""
        << ",\"mode\":\"" << mode_name(mode) << "\""
        << ",\"threads\":" << (mode == Mode::kParallel ? threads : 1)
-       << ",\"ms\":" << t.ms
+       << ",\"ms\":" << t.ms << ",\"ms_min\":" << t.ms_min
+       << ",\"ms_max\":" << t.ms_max << ",\"reps\":" << t.reps
        << ",\"candidates_tested\":" << t.result.candidates_tested
        << ",\"candidates_per_sec\":" << cps
        << ",\"found\":" << (t.result.found ? "true" : "false")
        << ",\"cost\":"
        << (t.result.found ? t.result.cost.total() : Int{0}) << "}\n";
-}
-
-bool pareto_identical(const search::DesignSpaceResult& a,
-                      const search::DesignSpaceResult& b) {
-  if (a.spaces_tested != b.spaces_tested ||
-      a.feasible_spaces != b.feasible_spaces ||
-      a.pareto.size() != b.pareto.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.pareto.size(); ++i) {
-    const search::DesignPoint& p = a.pareto[i];
-    const search::DesignPoint& q = b.pareto[i];
-    if (!(p.space == q.space) || !(p.pi == q.pi) || p.makespan != q.makespan ||
-        p.cost.processors != q.cost.processors ||
-        p.cost.wire_length != q.cost.wire_length) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -191,8 +183,7 @@ int main(int argc, char** argv) {
     Timing seed = run_mode(c, Mode::kSeed, smoke ? 1 : 3, threads);
     Timing serial = run_mode(c, Mode::kSerial, reps, threads);
     Timing par = run_mode(c, Mode::kParallel, reps, threads);
-    bool ok = identical(seed.result, serial.result) &&
-              identical(seed.result, par.result);
+    bool ok = seed.result == serial.result && seed.result == par.result;
     if (!ok) {
       std::cerr << "PARITY VIOLATION in " << c.name << "\n";
       all_parity_ok = false;
@@ -238,7 +229,7 @@ int main(int argc, char** argv) {
     auto t2 = std::chrono::steady_clock::now();
     double seed_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     double fast_ms = std::chrono::duration<double, std::milli>(t2 - t1).count();
-    bool ok = pareto_identical(slow, fast);
+    bool ok = slow == fast;
     std::cout << "pareto_matmul               " << slow.spaces_tested
               << " spaces, " << slow.pareto.size() << " frontier points, seed "
               << seed_ms << " ms, fast " << fast_ms << " ms\n";

@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "exact/bigint.hpp"
@@ -141,42 +142,6 @@ inline std::vector<std::vector<std::size_t>> equal_extent_arrangements(
   return arrangements;
 }
 
-/// Lexicographic minimum, over the given column arrangements, of S with
-/// each row sign-normalized (first nonzero entry positive) and rows
-/// sorted -- the shared canonicalization step of the two orbit keys.
-inline std::vector<Int> min_row_canonical_form(
-    const MatI& space,
-    const std::vector<std::vector<std::size_t>>& arrangements) {
-  const std::size_t m = space.rows();
-  const std::size_t n = space.cols();
-  std::vector<Int> best;
-  std::vector<VecI> rows(m, VecI(n, 0));
-  for (const std::vector<std::size_t>& perm : arrangements) {
-    for (std::size_t r = 0; r < m; ++r) {
-      VecI& row = rows[r];
-      for (std::size_t c = 0; c < n; ++c) row[c] = space(r, perm[c]);
-      // Sign-normalize: first nonzero entry positive.
-      for (std::size_t c = 0; c < n; ++c) {
-        if (row[c] == 0) continue;
-        if (row[c] < 0) {
-          for (std::size_t d = c; d < n; ++d) {
-            row[d] = exact::neg_checked(row[d]);
-          }
-        }
-        break;
-      }
-    }
-    std::sort(rows.begin(), rows.end());
-    std::vector<Int> flat;
-    flat.reserve(m * n);
-    for (const VecI& row : rows) {
-      flat.insert(flat.end(), row.begin(), row.end());
-    }
-    if (best.empty() || flat < best) best = std::move(flat);
-  }
-  return best;
-}
-
 }  // namespace detail
 
 /// Canonical key for a k <= n-2 kernel basis block (columns u_{k+1..n} of
@@ -221,10 +186,24 @@ std::optional<ConflictKey> canonical_kernel_key(const linalg::Matrix<T>& u,
   return key;
 }
 
-/// Canonical form of the PROCESSOR-COUNT orbit of a space matrix S over
-/// the index box: the key is equal for two candidates exactly when this
-/// routine can prove |{S j : j in J}| = |{S' j : j in J}|.  Three moves
-/// generate the orbit:
+/// Orbit size beyond which only the identity arrangement is tried.
+inline constexpr std::size_t kMaxOrbitArrangements = 720;
+
+/// The two orbit keys of a space matrix S, with the orbit's column
+/// arrangements built once per index set (and dependence matrix), so a
+/// sweep canonicalizes each candidate without rebuilding them.  key(S) is
+/// the lexicographic minimum, over the arrangements, of S with each row
+/// sign-normalized (first nonzero positive) and rows sorted, framed by
+/// the extents (and, for the schedule orbit, the dependence matrix).
+/// When the equal-mu groups admit more than kMaxOrbitArrangements
+/// permutations only the identity arrangement is tried (still canonical in
+/// the row moves, just a coarser orbit -- soundness never depends on
+/// hitting the full orbit).  Immutable after construction; key() reuses
+/// thread-local scratch, so one canonicalizer may serve several threads.
+///
+/// COST ORBIT (kSpaceOrbit, the one-argument constructor): the key is
+/// equal for two candidates exactly when this routine can prove
+/// |{S j : j in J}| = |{S' j : j in J}|.  Three moves generate the orbit:
 ///   1. negating a row r (the image is reflected in coordinate r --
 ///      a bijection of image sets);
 ///   2. permuting rows (permutes image coordinates -- a bijection);
@@ -236,36 +215,10 @@ std::optional<ConflictKey> canonical_kernel_key(const linalg::Matrix<T>& u,
 /// columns are not permuted), and the conflict verdict of [S; Pi] is not
 /// invariant under 3 either (Pi is not permuted) -- so callers may only
 /// attribute processor counts across a kSpaceOrbit key, never costs or
-/// verdicts.  The canonical form is the lexicographic minimum, over every
-/// equal-mu column permutation, of S with each row sign-normalized
-/// (first nonzero positive) and rows sorted; when the equal-mu groups
-/// admit more than `max_arrangements` permutations only the identity
-/// arrangement is tried (still canonical in moves 1-2, just a coarser
-/// orbit -- soundness never depends on hitting the full orbit).
-inline ConflictKey canonical_space_orbit_key(
-    const MatI& space, const model::IndexSet& set,
-    std::size_t max_arrangements = 720) {
-  const std::size_t m = space.rows();
-  const std::size_t n = space.cols();
-
-  const std::vector<std::vector<std::size_t>> arrangements =
-      detail::equal_extent_arrangements(set, n, max_arrangements);
-  const std::vector<Int> best =
-      detail::min_row_canonical_form(space, arrangements);
-
-  ConflictKey key;
-  key.kind = ConflictKey::Kind::kSpaceOrbit;
-  key.oracle_tag = 0;
-  key.n = static_cast<std::uint32_t>(n);
-  key.k = static_cast<std::uint32_t>(m);
-  key.payload.reserve(set.dimension() + best.size());
-  detail::append_extents(set, key.payload);
-  key.payload.insert(key.payload.end(), best.begin(), best.end());
-  return key;
-}
-
-/// Canonical form of the SCHEDULE-SEARCH orbit of S for a fixed algorithm
-/// (J, D): two candidates with equal keys have Procedure-5.1 feasible sets
+/// verdicts.
+///
+/// SCHEDULE ORBIT (kScheduleOrbit, with a dependence matrix): two
+/// candidates with equal keys have Procedure-5.1 feasible sets
 /// {(f, Pi) : Pi D > 0, rank[S; Pi] = k, [S; Pi] conflict-free over J}
 /// related by an OBJECTIVE-PRESERVING bijection on Pi -- so the optimal
 /// objective f* (and the nonexistence of any feasible Pi up to a bound)
@@ -291,54 +244,124 @@ inline ConflictKey canonical_space_orbit_key(
 /// min_objective = f*) and must skip this key entirely when a target
 /// interconnect constrains the search.  The dependence matrix is embedded
 /// in the payload so distinct algorithms over the same box never alias.
-inline ConflictKey canonical_space_schedule_key(
-    const MatI& space, const model::IndexSet& set, const MatI& dependence,
-    std::size_t max_arrangements = 720) {
-  const std::size_t m = space.rows();
-  const std::size_t n = space.cols();
+class SpaceOrbitCanonicalizer {
+ public:
+  /// The cost orbit of spaces over `set`.
+  explicit SpaceOrbitCanonicalizer(const model::IndexSet& set)
+      : kind_(ConflictKey::Kind::kSpaceOrbit), n_(set.dimension()) {
+    detail::append_extents(set, head_);
+    flatten(
+        detail::equal_extent_arrangements(set, n_, kMaxOrbitArrangements));
+  }
 
-  std::vector<std::vector<std::size_t>> arrangements =
-      detail::equal_extent_arrangements(set, n, max_arrangements);
-  // Keep only the arrangements that fix the dependence-column multiset:
-  // column c of the permuted dependence block reads D(perm[r], c) in row r.
-  if (arrangements.size() > 1) {
-    std::vector<VecI> original(dependence.cols(), VecI(n, 0));
+  /// The schedule orbit of spaces for the algorithm (set, dependence):
+  /// only the arrangements that fix the dependence-column multiset.
+  SpaceOrbitCanonicalizer(const model::IndexSet& set, const MatI& dependence)
+      : kind_(ConflictKey::Kind::kScheduleOrbit), n_(set.dimension()) {
+    detail::append_extents(set, head_);
     for (std::size_t c = 0; c < dependence.cols(); ++c) {
-      for (std::size_t r = 0; r < n; ++r) original[c][r] = dependence(r, c);
+      for (std::size_t r = 0; r < dependence.rows(); ++r) {
+        tail_.push_back(dependence(r, c));
+      }
     }
-    std::vector<VecI> sorted_original = original;
-    std::sort(sorted_original.begin(), sorted_original.end());
-    std::vector<std::vector<std::size_t>> valid;
-    std::vector<VecI> permuted(dependence.cols(), VecI(n, 0));
-    for (std::vector<std::size_t>& perm : arrangements) {
+    std::vector<std::vector<std::size_t>> arrangements =
+        detail::equal_extent_arrangements(set, n_, kMaxOrbitArrangements);
+    // Column c of the permuted dependence block reads D(perm[r], c) in
+    // row r; keep the arrangements whose column multiset is unchanged.
+    if (arrangements.size() > 1) {
+      std::vector<VecI> original(dependence.cols(), VecI(n_, 0));
       for (std::size_t c = 0; c < dependence.cols(); ++c) {
-        for (std::size_t r = 0; r < n; ++r) {
-          permuted[c][r] = original[c][perm[r]];
+        for (std::size_t r = 0; r < n_; ++r) original[c][r] = dependence(r, c);
+      }
+      std::vector<VecI> sorted_original = original;
+      std::sort(sorted_original.begin(), sorted_original.end());
+      std::vector<std::vector<std::size_t>> valid;
+      std::vector<VecI> permuted(dependence.cols(), VecI(n_, 0));
+      for (std::vector<std::size_t>& perm : arrangements) {
+        for (std::size_t c = 0; c < dependence.cols(); ++c) {
+          for (std::size_t r = 0; r < n_; ++r) {
+            permuted[c][r] = original[c][perm[r]];
+          }
+        }
+        std::sort(permuted.begin(), permuted.end());
+        if (permuted == sorted_original) valid.push_back(std::move(perm));
+      }
+      arrangements = std::move(valid);
+    }
+    flatten(arrangements);
+  }
+
+  ConflictKey key(const MatI& space) const {
+    if (space.cols() != n_) {
+      throw std::invalid_argument("orbit key: S width must equal n");
+    }
+    const std::size_t m = space.rows();
+    const std::size_t n = n_;
+    const std::size_t cells = m * n;
+    thread_local std::vector<Int> cand;
+    thread_local std::vector<Int> best;
+    cand.resize(cells);
+    best.resize(cells);
+    bool have_best = false;
+    for (std::size_t a = 0; a < arrangements_; ++a) {
+      const std::size_t* perm = perms_.data() + a * n;
+      for (std::size_t r = 0; r < m; ++r) {
+        const std::size_t base = r * n;
+        for (std::size_t c = 0; c < n; ++c) cand[base + c] = space(r, perm[c]);
+        // Sign-normalize: first nonzero entry positive.
+        for (std::size_t c = 0; c < n; ++c) {
+          if (cand[base + c] == 0) continue;
+          if (cand[base + c] < 0) {
+            for (std::size_t d = c; d < n; ++d) {
+              cand[base + d] = exact::neg_checked(cand[base + d]);
+            }
+          }
+          break;
+        }
+        // Insertion step: keep rows 0..r sorted lexicographically.
+        const auto width = static_cast<std::ptrdiff_t>(n);
+        for (std::size_t q = r; q > 0; --q) {
+          const auto lo =
+              cand.begin() + static_cast<std::ptrdiff_t>((q - 1) * n);
+          const auto hi = lo + width;
+          if (!std::lexicographical_compare(hi, hi + width, lo, hi)) break;
+          std::swap_ranges(lo, hi, hi);
         }
       }
-      std::sort(permuted.begin(), permuted.end());
-      if (permuted == sorted_original) valid.push_back(std::move(perm));
+      if (!have_best ||
+          std::lexicographical_compare(cand.begin(), cand.end(), best.begin(),
+                                       best.end())) {
+        std::copy(cand.begin(), cand.end(), best.begin());
+        have_best = true;
+      }
     }
-    arrangements = std::move(valid);
+    ConflictKey key;
+    key.kind = kind_;
+    key.oracle_tag = 0;
+    key.n = static_cast<std::uint32_t>(n);
+    key.k = static_cast<std::uint32_t>(m);
+    key.payload.reserve(head_.size() + cells + tail_.size());
+    key.payload.insert(key.payload.end(), head_.begin(), head_.end());
+    key.payload.insert(key.payload.end(), best.begin(), best.end());
+    key.payload.insert(key.payload.end(), tail_.begin(), tail_.end());
+    return key;
   }
-  const std::vector<Int> best =
-      detail::min_row_canonical_form(space, arrangements);
 
-  ConflictKey key;
-  key.kind = ConflictKey::Kind::kScheduleOrbit;
-  key.oracle_tag = 0;
-  key.n = static_cast<std::uint32_t>(n);
-  key.k = static_cast<std::uint32_t>(m);
-  key.payload.reserve(set.dimension() + best.size() +
-                      dependence.rows() * dependence.cols());
-  detail::append_extents(set, key.payload);
-  key.payload.insert(key.payload.end(), best.begin(), best.end());
-  for (std::size_t c = 0; c < dependence.cols(); ++c) {
-    for (std::size_t r = 0; r < dependence.rows(); ++r) {
-      key.payload.push_back(dependence(r, c));
+ private:
+  void flatten(const std::vector<std::vector<std::size_t>>& arrangements) {
+    arrangements_ = arrangements.size();
+    perms_.reserve(arrangements_ * n_);
+    for (const std::vector<std::size_t>& perm : arrangements) {
+      perms_.insert(perms_.end(), perm.begin(), perm.end());
     }
   }
-  return key;
-}
+
+  ConflictKey::Kind kind_;
+  std::size_t n_ = 0;
+  std::size_t arrangements_ = 0;
+  std::vector<std::size_t> perms_;  ///< arrangement a at [a * n, (a+1) * n)
+  std::vector<Int> head_;           ///< payload head: the extents
+  std::vector<Int> tail_;           ///< payload tail: D, column-major
+};
 
 }  // namespace sysmap::mapping

@@ -19,6 +19,7 @@
 #include "mapping/canonical_key.hpp"
 #include "mapping/mapping_matrix.hpp"
 #include "mapping/verdicts_impl.hpp"
+#include "obs/obs.hpp"
 #include "search/verdict_cache.hpp"
 
 namespace sysmap::search {
@@ -162,6 +163,221 @@ std::optional<Thm31Screen> theorem_3_1_screen_raw(const MatI& cof,
   return Thm31Screen::kConflict;
 }
 
+/// Kernel-width bound of the k <= n-2 raw witness screen: ker [S; pi] has
+/// n - k <= 4 dimensions in every k <= n-2 sweep of the gallery; wider
+/// kernels go straight to the exact ladder.
+constexpr std::size_t kRawWitnessMaxKernel = 4;
+
+enum class KernelScreen {
+  kRankDeficient,  ///< w = pi U_free = 0, i.e. rank([S; pi]) < k
+  kConflict,       ///< a nonzero kernel vector of [S; pi] lies in the box
+  kUndecided,      ///< no witness found, or int64 overflow: run the ladder
+};
+
+/// The k <= n-2 counterpart of theorem_3_1_screen_raw.  By Section 4 the
+/// conflict vectors of T = [S; pi] are the nonzero vectors of ker T inside
+/// the difference box, and ker T = U_free ker(w) with U_free the free
+/// columns of the HNF-of-S multiplier and w = pi U_free; w = 0 exactly
+/// when rank([S; pi]) < k.  The kernel basis of w comes from the xgcd
+/// column eliminations hnf_process_row applies to the last row of
+/// [S; pi], so B = U_free V is the very block u_{k+1..n} the exact ladder
+/// reads.  A basis column (Theorem 4.4), a +-1/0 sign combination of
+/// columns, or for 2-D kernels the same on a Lagrange-reduced basis, whose
+/// primitive part lies in the box is a genuine conflict, which the exact
+/// ladder rejects too: a reject needs a witness, not a certificate.
+/// kUndecided (no witness, or int64 overflow anywhere) sends the caller
+/// down the unchanged exact path, so accepted candidates keep their
+/// verdict, rule and witness.  `free` is n x (n-k+1) with
+/// n <= kRawScreenMaxN and n-k <= kRawWitnessMaxKernel.
+///
+/// SYSMAP_RAW_FASTPATH(fallback: hnf_tail_verdict)
+KernelScreen kernel_witness_screen_raw(const MatI& free, const VecI& pi,
+                                       const model::IndexSet& set) {
+  constexpr std::size_t kCols = kRawWitnessMaxKernel + 1;
+  const std::size_t n = free.rows();
+  const std::size_t m = free.cols();
+  bool overflow = false;
+  auto mul = [&overflow](Int a, Int b) {
+    Int r = 0;
+    overflow |= __builtin_mul_overflow(a, b, &r);
+    return r;
+  };
+  auto add = [&overflow](Int a, Int b) {
+    Int r = 0;
+    overflow |= __builtin_add_overflow(a, b, &r);
+    return r;
+  };
+  auto sub = [&overflow](Int a, Int b) {
+    Int r = 0;
+    overflow |= __builtin_sub_overflow(a, b, &r);
+    return r;
+  };
+
+  Int w[kCols];
+  bool full_rank = false;
+  for (std::size_t j = 0; j < m; ++j) {
+    Int acc = 0;
+    for (std::size_t r = 0; r < n; ++r) acc = add(acc, mul(pi[r], free(r, j)));
+    w[j] = acc;
+    if (acc != 0) full_rank = true;
+  }
+  if (overflow) return KernelScreen::kUndecided;
+  if (!full_rank) return KernelScreen::kRankDeficient;
+
+  // eliminate_row_xgcd on the row w with pivot column 0, applied to the
+  // columns of B = U_free; columns 1..m-1 then span ker T.
+  Int b[kRawScreenMaxN][kCols];
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t j = 0; j < m; ++j) b[r][j] = free(r, j);
+  }
+  for (std::size_t j = 1; j < m; ++j) {
+    if (w[j] == 0) continue;
+    if (w[0] == 0) {
+      std::swap(w[0], w[j]);
+      for (std::size_t r = 0; r < n; ++r) std::swap(b[r][0], b[r][j]);
+      continue;
+    }
+    // xgcd with truncating division, as lattice::detail::xgcd; excluding
+    // INT64_MIN keeps every quotient and negation in range.
+    if (w[0] == INT64_MIN || w[j] == INT64_MIN) return KernelScreen::kUndecided;
+    Int r0 = w[0], r1 = w[j], x0 = 1, x1 = 0, y0 = 0, y1 = 1;
+    while (r1 != 0) {
+      const Int q = r0 / r1;
+      const Int r2 = r0 % r1;
+      const Int x2 = sub(x0, mul(q, x1));
+      const Int y2 = sub(y0, mul(q, y1));
+      r0 = r1;
+      r1 = r2;
+      x0 = x1;
+      x1 = x2;
+      y0 = y1;
+      y1 = y2;
+    }
+    if (r0 < 0) {
+      r0 = sub(0, r0);
+      x0 = sub(0, x0);
+      y0 = sub(0, y0);
+    }
+    // [col_0, col_j] * [[x0, -w_j/g], [y0, w_0/g]], as ColumnOps::transform2.
+    const Int p = sub(0, w[j] / r0);
+    const Int q = w[0] / r0;
+    for (std::size_t r = 0; r < n; ++r) {
+      const Int a = b[r][0];
+      const Int c = b[r][j];
+      b[r][0] = add(mul(a, x0), mul(c, y0));
+      b[r][j] = add(mul(a, p), mul(c, q));
+    }
+    if (overflow) return KernelScreen::kUndecided;
+    w[0] = r0;
+    w[j] = 0;
+  }
+
+  // True when the primitive part of the nonzero vector gamma lies in the
+  // box: with g = gcd_i |gamma_i|, |gamma_i / g| <= mu_i iff
+  // |gamma_i| <= mu_i * g (a product beyond int64 exceeds |gamma_i|).
+  Int mag[kRawScreenMaxN];
+  auto primitive_in_box = [&](const Int* gamma) {
+    bool inside = true;
+    bool zero = true;
+    for (std::size_t r = 0; r < n; ++r) {
+      mag[r] = gamma[r] < 0 ? sub(0, gamma[r]) : gamma[r];
+      if (mag[r] != 0) zero = false;
+      if (mag[r] > set.mu(r)) inside = false;
+    }
+    if (overflow || zero) return false;
+    if (inside) return true;
+    Int g = 0;
+    for (std::size_t r = 0; r < n; ++r) g = exact::gcd_i64(g, mag[r]);
+    if (g == 1) return false;
+    for (std::size_t r = 0; r < n; ++r) {
+      Int rhs = 0;
+      if (!__builtin_mul_overflow(set.mu(r), g, &rhs) && mag[r] > rhs) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  // Every basis column, then every sign class {-1, 0, 1}^d with first
+  // nonzero +1 and at least two nonzero entries, over the columns
+  // cols[0..d-1] of B.
+  const std::size_t d = m - 1;
+  Int gamma[kRawScreenMaxN];
+  auto witness_in = [&](const std::size_t* cols) {
+    for (std::size_t j = 0; j < d; ++j) {
+      for (std::size_t r = 0; r < n; ++r) gamma[r] = b[r][cols[j]];
+      if (primitive_in_box(gamma)) return true;
+    }
+    int pattern[kRawWitnessMaxKernel];
+    for (std::size_t j = 0; j < d; ++j) pattern[j] = -1;
+    for (;;) {
+      std::size_t first = d;
+      std::size_t nonzero = 0;
+      for (std::size_t j = 0; j < d; ++j) {
+        if (pattern[j] == 0) continue;
+        if (first == d) first = j;
+        ++nonzero;
+      }
+      if (nonzero >= 2 && pattern[first] > 0) {
+        for (std::size_t r = 0; r < n; ++r) {
+          Int acc = 0;
+          for (std::size_t j = 0; j < d; ++j) {
+            if (pattern[j] > 0) acc = add(acc, b[r][cols[j]]);
+            if (pattern[j] < 0) acc = sub(acc, b[r][cols[j]]);
+          }
+          gamma[r] = acc;
+        }
+        if (primitive_in_box(gamma)) return true;
+      }
+      std::size_t j = 0;
+      for (; j < d && pattern[j] == 1; ++j) pattern[j] = -1;
+      if (j == d) return false;
+      ++pattern[j];
+    }
+  };
+  std::size_t cols[kRawWitnessMaxKernel];
+  for (std::size_t j = 0; j < d; ++j) cols[j] = j + 1;
+  if (witness_in(cols)) return KernelScreen::kConflict;
+  if (overflow) return KernelScreen::kUndecided;
+  if (d != 2) return KernelScreen::kUndecided;
+
+  // Lagrange (Gauss) reduction of the 2-D basis in columns 1 and 2, with
+  // ties rounded toward zero so the norm of the reduced vector strictly
+  // falls and the loop ends.
+  auto dot = [&](std::size_t c, std::size_t e) {
+    Int s = 0;
+    for (std::size_t r = 0; r < n; ++r) s = add(s, mul(b[r][c], b[r][e]));
+    return s;
+  };
+  std::size_t u = 1;
+  std::size_t v = 2;
+  Int uu = dot(u, u);
+  Int vv = dot(v, v);
+  bool changed = false;
+  for (;;) {
+    if (overflow) return KernelScreen::kUndecided;
+    if (vv < uu) {
+      std::swap(u, v);
+      std::swap(uu, vv);
+    }
+    const Int uv = dot(u, v);
+    if (overflow) return KernelScreen::kUndecided;
+    Int q = uv / uu;
+    const Int rem = uv % uu;
+    const Int arem = rem < 0 ? -rem : rem;
+    if (arem > uu - arem) q = add(q, rem > 0 ? 1 : -1);
+    if (q == 0) break;
+    for (std::size_t r = 0; r < n; ++r) b[r][v] = sub(b[r][v], mul(q, b[r][u]));
+    vv = dot(v, v);
+    changed = true;
+  }
+  if (!changed) return KernelScreen::kUndecided;
+  cols[0] = u;
+  cols[1] = v;
+  if (witness_in(cols)) return KernelScreen::kConflict;
+  return KernelScreen::kUndecided;
+}
+
 /// Theorems 4.7/4.8/4.5 (kPaperTheorems) or the full exact ladder
 /// (kExact) over a warm-started HNF of T = [S; pi]; identical to the
 /// dispatch the seed performs after its from-scratch decomposition.
@@ -237,6 +453,10 @@ struct FixedSpaceContext::Impl {
   // Unwrapped copy of checked->cofactor for the stack-buffer raw screen
   // (k = n-1, n <= kRawScreenMaxN only).
   std::optional<MatI> cofactor_raw;
+  // Unwrapped free columns k-1..n-1 of checked->prefix->u for the raw
+  // witness screen (k <= n-2, n <= kRawScreenMaxN, n-k <=
+  // kRawWitnessMaxKernel only).
+  std::optional<MatI> free_raw;
   // BigInt mirror, built on first demand (overflow fallback or a failed
   // checked precompute); call_once keeps the lazy init safe when several
   // threads share one context.
@@ -288,6 +508,16 @@ struct FixedSpaceContext::Impl {
         }
       }
       cofactor_raw = std::move(raw);
+    }
+    if (checked && checked->prefix && n <= kRawScreenMaxN &&
+        n - k <= kRawWitnessMaxKernel) {
+      MatI raw(n, n - k + 1);
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t j = 0; j < raw.cols(); ++j) {
+          raw(r, j) = checked->prefix->u(r, k - 1 + j).value();
+        }
+      }
+      free_raw = std::move(raw);
     }
   }
 };
@@ -408,6 +638,28 @@ std::optional<ConflictVerdict> FixedSpaceContext::screen(
           }
         });
   }
+  if (oracle == ConflictOracle::kExact && cache == nullptr && im.free_raw) {
+    // k <= n-2 under the exact oracle: a kernel vector inside the box is a
+    // conflict the ladder would reject too, so the raw witness screen
+    // rejects without the echelon replay, the HNF or the ladder.
+    const KernelScreen s = kernel_witness_screen_raw(*im.free_raw, pi, im.set);
+#if SYSMAP_CONTRACTS_ACTIVE
+    if (s == KernelScreen::kRankDeficient) {
+      SYSMAP_CONTRACT(!has_full_rank(pi),
+                      "raw witness screen: w = 0 on a full-rank [S; pi]");
+    } else if (s == KernelScreen::kConflict) {
+      const ConflictVerdict exact_v = verdict(oracle, pi);
+      SYSMAP_CONTRACT(
+          exact_v.status == ConflictVerdict::Status::kHasConflict,
+          "raw witness screen rejects but the exact ladder answers '"
+              << exact_v.rule << "'");
+    }
+#endif
+    if (s != KernelScreen::kUndecided) {
+      SYSMAP_COUNT("search.fixed_space.raw_rejects", 1);
+      return std::nullopt;
+    }
+  }
   // k <= n-2, k = n, or brute force: the echelon rank replay decides
   // Step 5(2), then the full verdict decides 5(3).  Brute force never
   // touches the cache; verdict() routes it to enumeration_conflicts.
@@ -438,6 +690,9 @@ std::optional<ConflictVerdict> FixedSpaceContext::screen(
             return hnf_cached_accept(oracle, hnf, im.k, im.n, im.set, *cache);
           });
     }
+  }
+  if (oracle != ConflictOracle::kBruteForce && im.k + 2 <= im.n) {
+    SYSMAP_COUNT("search.fixed_space.ladder_verdicts", 1);
   }
   ConflictVerdict v = verdict(oracle, pi);
   if (v.status != ConflictVerdict::Status::kConflictFree) return std::nullopt;

@@ -13,7 +13,10 @@
 //   - k <= n-2: the column-HNF of [S; pi] shares all of S's reduction work
 //     across candidates; the per-row operations depend only on the row
 //     being eliminated, so an S-prefix warm start replays bit-identically
-//     (lattice::detail::hermite_prefix_t / hermite_extend_row_t).
+//     (lattice::detail::hermite_prefix_t / hermite_extend_row_t), and the
+//     free columns U_free of the HNF-of-S multiplier give ker [S; pi] =
+//     U_free ker(pi U_free), from which a raw screen draws the conflict
+//     witnesses that reject almost every candidate.
 // All per-candidate arithmetic runs on the CheckedInt machine-word fast
 // path with the usual exact::with_fallback BigInt restart, so verdicts
 // (status, rule string AND witness) are bit-identical to the per-candidate
@@ -63,11 +66,15 @@ class FixedSpaceContext {
   /// For k = n-1 (kPaperTheorems, kExact) one cofactor product C pi
   /// decides both screens (the cross product of an (n-1) x n matrix is
   /// nonzero exactly when it has full rank), so the echelon replay is
-  /// skipped on the sweep's hottest path; every other case runs the
-  /// echelon replay and then the oracle.  A non-null `cache` is used only
-  /// for k <= n-2 under kPaperTheorems or kExact: outcomes are memoized by
-  /// canonical kernel key under the admission policy of verdict_cache.hpp
-  /// -- results stay bit-identical; only the cache's counters observe it.
+  /// skipped on the sweep's hottest path.  For k <= n-2 under kExact
+  /// without a cache, a raw kernel-witness screen (pi times the free HNF
+  /// columns of S) rejects rank-deficient candidates and those with a
+  /// kernel vector inside the difference box first; whatever it cannot
+  /// reject, like every other case, runs the echelon replay and then the
+  /// oracle.  A non-null `cache` is used only for k <= n-2 under
+  /// kPaperTheorems or kExact: outcomes are memoized by canonical kernel
+  /// key under the admission policy of verdict_cache.hpp -- results stay
+  /// bit-identical; only the cache's counters observe it.
   /// At k = n-1, k = n and under kBruteForce the cache is never touched.
   std::optional<mapping::ConflictVerdict> screen(
       ConflictOracle oracle, const VecI& pi,

@@ -1,6 +1,7 @@
 #include "search/pipeline.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
@@ -64,6 +65,9 @@ struct MappingPipeline::Fusion {
   bool ready = false;
   bool prefix_ok = false;
   std::vector<Int> sig;  ///< n, extents, dependence matrix -- resets state
+  /// Schedule-orbit keys of the anchored algorithm.  Shared, so a solve
+  /// keeps its own algorithm's canonicalizer while another re-anchors.
+  std::shared_ptr<const mapping::SpaceOrbitCanonicalizer> schedule_orbit;
   Int stride = 1;  ///< objective_level_stride of the anchored index set
   std::vector<std::uint64_t> cum;
   std::unordered_map<mapping::ConflictKey, Entry, mapping::ConflictKeyHash>
@@ -72,10 +76,12 @@ struct MappingPipeline::Fusion {
   /// pays its cone LPs once per D, not once per query.
   std::vector<std::pair<MatI, bool>> orthant_forced;
 
-  /// (Re)anchors the per-algorithm state; true when the orbit cache (and
-  /// its stats-reproducing prefix) is usable for this algorithm + bound.
-  bool prepare(const model::UniformDependenceAlgorithm& algo,
-               Int resolved_max) {
+  /// (Re)anchors the per-algorithm state; returns the algorithm's
+  /// schedule-orbit canonicalizer when the orbit cache (and its
+  /// stats-reproducing prefix) is usable for this algorithm + bound, else
+  /// null.
+  std::shared_ptr<const mapping::SpaceOrbitCanonicalizer> prepare(
+      const model::UniformDependenceAlgorithm& algo, Int resolved_max) {
     const model::IndexSet& set = algo.index_set();
     const MatI& d = algo.dependence_matrix();
     std::vector<Int> fresh;
@@ -92,6 +98,8 @@ struct MappingPipeline::Fusion {
     if (!ready || fresh != sig) {
       sig = std::move(fresh);
       entries.clear();
+      schedule_orbit =
+          std::make_shared<const mapping::SpaceOrbitCanonicalizer>(set, d);
       // cum[k] = the candidates of levels 1..k * stride (every level that
       // is not a multiple of the stride is empty), summed from row 0 of
       // the suffix counts -- never by enumeration, which is what lets a
@@ -111,7 +119,8 @@ struct MappingPipeline::Fusion {
       }
       ready = true;
     }
-    return prefix_ok;
+    if (!prefix_ok) return nullptr;
+    return schedule_orbit;
   }
 
   /// Memoized positive_orthant_forced(d); the LPs run outside the lock.
@@ -312,20 +321,22 @@ MappingSolution MappingPipeline::solve(
 
   // Pure Procedure 5.1 (also the fall-through after an unverified ILP).
   // The schedule-orbit cache transfers one route-independent fact between
-  // candidates with equal canonical_space_schedule_key: the certified
-  // optimal objective f* of the full scan from level 1 (or its
+  // candidates with equal schedule-orbit keys (SpaceOrbitCanonicalizer):
+  // the certified optimal objective f* of the full scan from level 1 (or its
   // nonexistence up to an exhausted bound).  A hit re-runs the search
   // seeded at min_objective = f* on the ACTUAL S -- same winner, verdict
   // and statistics as the cold scan, with every level below f* recovered
   // from the closed-form prefix counts instead of re-screened.
   search_options.context = shared_context();
-  const bool orbit_usable = fusion != nullptr && !options_.target &&
-                            fusion->prepare(algo, resolved_max);
+  std::shared_ptr<const mapping::SpaceOrbitCanonicalizer> orbit;
+  if (fusion != nullptr && !options_.target) {
+    orbit = fusion->prepare(algo, resolved_max);
+  }
   SearchResult result;
   bool resolved = false;
   std::optional<mapping::ConflictKey> orbit_key;
-  if (orbit_usable) {
-    orbit_key = mapping::canonical_space_schedule_key(space, set, d);
+  if (orbit) {
+    orbit_key = orbit->key(space);
     const std::optional<Fusion::Entry> entry = fusion->lookup(*orbit_key);
     if (entry && entry->found) {
       if (entry->objective <= eff_max) {

@@ -17,7 +17,8 @@
 // spaces against one algorithm: a pipeline with fusion enabled carries
 //  (a) a memo of positive_orthant_forced per dependence matrix, so the
 //      ILP route pays its cone LPs once per D, not once per query,
-//  (b) a schedule-orbit cache mapping canonical_space_schedule_key(S) to
+//  (b) a schedule-orbit cache mapping the schedule-orbit key of S
+//      (mapping::SpaceOrbitCanonicalizer, built once per algorithm) to
 //      the certified optimal objective f* (or to "none up to bound B"); a
 //      hit re-runs the search seeded at min_objective = f*, which
 //      reproduces the cold winner, verdict and statistics bit for bit

@@ -241,11 +241,13 @@ bool injective_on_box(const model::IndexSet& set, const MatI& space) {
 class ProcessorCounter {
  public:
   ProcessorCounter(const model::IndexSet& set, std::uint64_t points,
-                   bool points_known, ImageCountCache& counts)
+                   bool points_known, ImageCountCache& counts,
+                   const mapping::SpaceOrbitCanonicalizer& orbit)
       : set_(&set),
         points_(points),
         points_known_(points_known),
         counts_(&counts),
+        orbit_(&orbit),
         images_(points_known ? static_cast<std::size_t>(
                                    std::min<std::uint64_t>(points, 1u << 20))
                              : 64) {}
@@ -253,8 +255,7 @@ class ProcessorCounter {
   /// Exact |{S j}|, or nullopt when `exit_above >= 0` and the walk proved
   /// count > exit_above (candidate strictly loses).
   std::optional<Int> count(const MatI& space, Int exit_above) {
-    const mapping::ConflictKey orbit_key =
-        mapping::canonical_space_orbit_key(space, *set_);
+    const mapping::ConflictKey orbit_key = orbit_->key(space);
     if (std::optional<Int> hit = counts_->lookup(orbit_key)) {
       SYSMAP_COUNT("search.space.orbit_hits", 1);
       return *hit;
@@ -288,6 +289,7 @@ class ProcessorCounter {
   std::uint64_t points_;
   bool points_known_;
   ImageCountCache* counts_;
+  const mapping::SpaceOrbitCanonicalizer* orbit_;
   support::FlatImageSet images_;
 };
 
@@ -458,12 +460,13 @@ Sweep<State> run_sweep(const model::UniformDependenceAlgorithm& algo,
     points_known = false;  // disables the injectivity compare only
   }
   ImageCountCache counts;
+  const mapping::SpaceOrbitCanonicalizer orbit(set);
   SpaceFeed feed(algo.dimension(), options);
   Sweep<State> sweep;
   sweep.workers.resize(std::max<std::size_t>(options.num_threads, 1));
 
   auto body = [&](std::size_t w) {
-    ProcessorCounter counter(set, points, points_known, counts);
+    ProcessorCounter counter(set, points, points_known, counts, orbit);
     SpaceChunk chunk;
     while (feed.draw(kChunk, chunk)) {
       for (std::size_t i = 0; i < chunk.len; ++i) {

@@ -21,7 +21,7 @@
 // shared sweep driver: lazy candidate enumeration (SpaceEnumerator),
 // packed-image counting (support/flat_image_set.hpp), a closed-form
 // injectivity shortcut via the kernel lattice, orbit-canonical processor
-// count reuse (mapping::canonical_space_orbit_key), wire-first
+// count reuse (mapping::SpaceOrbitCanonicalizer), wire-first
 // branch-and-bound pruning and an optional deterministic parallel sweep.
 // The *_seed functions preserve the original serial std::set engines
 // verbatim.  Each pair is BIT-IDENTICAL in (found, space, cost, verdict,
@@ -63,6 +63,8 @@ struct ArrayCost {
   // SYSMAP_RAW_FASTPATH(bounded: both terms are counts accumulated over one
   // candidate's image walk, orders of magnitude below the 63-bit line)
   Int total() const { return processors + wire_length; }
+
+  friend bool operator==(const ArrayCost&, const ArrayCost&) = default;
 };
 
 struct SpaceSearchResult {
@@ -71,6 +73,9 @@ struct SpaceSearchResult {
   ArrayCost cost;
   mapping::ConflictVerdict verdict;
   std::uint64_t candidates_tested = 0;
+
+  friend bool operator==(const SpaceSearchResult&,
+                         const SpaceSearchResult&) = default;
 };
 
 /// Problem 6.1: best S for a fixed Pi.  Minimizes processors + wire among
@@ -98,6 +103,8 @@ struct DesignPoint {
   VecI pi;
   Int makespan = 0;
   ArrayCost cost;
+
+  friend bool operator==(const DesignPoint&, const DesignPoint&) = default;
 };
 
 struct DesignSpaceResult {
@@ -106,6 +113,9 @@ struct DesignSpaceResult {
   std::vector<DesignPoint> pareto;
   std::uint64_t spaces_tested = 0;
   std::uint64_t feasible_spaces = 0;
+
+  friend bool operator==(const DesignSpaceResult&,
+                         const DesignSpaceResult&) = default;
 };
 
 /// Problem 6.2: sweep candidate S, find each one's time-optimal
@@ -113,7 +123,7 @@ struct DesignSpaceResult {
 /// Pareto frontier of (makespan, array cost).  Fast engine: one fused
 /// MappingPipeline scores every space (shared verdict cache, certified
 /// objectives reused across each schedule orbit,
-/// mapping::canonical_space_schedule_key), plus the parallel sweep and
+/// mapping::SpaceOrbitCanonicalizer), plus the parallel sweep and
 /// fast cost evaluation; bit-identical to explore_design_space_seed.
 DesignSpaceResult explore_design_space(
     const model::UniformDependenceAlgorithm& algo,
@@ -138,6 +148,9 @@ struct JointMappingResult {
   mapping::ConflictVerdict verdict;
   ArrayCost cost;
   std::uint64_t spaces_tested = 0;
+
+  friend bool operator==(const JointMappingResult&,
+                         const JointMappingResult&) = default;
 };
 
 /// Fused joint query: one MappingPipeline persists across every candidate

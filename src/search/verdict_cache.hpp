@@ -114,7 +114,7 @@ class VerdictCache {
 };
 
 /// Sharded memo of exact processor counts keyed by the cost-orbit
-/// canonical form of S (mapping::canonical_space_orbit_key).  Every
+/// canonical form of S (mapping::SpaceOrbitCanonicalizer).  Every
 /// writer for a given key computes the same exact count (the key proves
 /// the counts equal), so insertion is idempotent and a hit is
 /// bit-identical to recounting -- which is why the space sweep's results

@@ -16,6 +16,7 @@
 #include "mapping/verdicts_impl.hpp"
 #include "model/gallery.hpp"
 #include "search/fixed_space.hpp"
+#include "search/verdict_cache.hpp"
 #include "reference_scan.hpp"
 
 namespace sysmap::search {
@@ -380,6 +381,135 @@ TEST(FixedSpaceParity, RoutingTargetWorksThroughContext) {
   expect_identical(seed, fast);
   ASSERT_TRUE(fast.routing.has_value());
   EXPECT_EQ(fast.routing->total_buffers(), seed.routing->total_buffers());
+}
+
+// ---------------------------------------------------------------------------
+// k <= n-2 raw witness screen: screen(kExact) == rank && exact ladder
+// ---------------------------------------------------------------------------
+
+struct WitnessCase {
+  model::UniformDependenceAlgorithm algo;
+  MatI space;
+  bool near_limit = false;  ///< kernel keys may not fit the cache payload
+};
+
+// Seeded (J, D, S) with n in 3..6 and k <= n-2 (kernels of dimension
+// 2..4), extents 1..5 and mixed-sign dependences, plus two spaces whose
+// HNF multipliers sit near the int64 limit, so pi U_free overflows and
+// the raw screen must fall through to the exact path, and two spaces
+// with rank-deficient candidates.
+std::vector<WitnessCase> witness_cases() {
+  Lcg rng;
+  rng.state = 0x2545f4914f6cdd1dull;
+  std::vector<WitnessCase> cases;
+  for (int trial = 0; trial < 36; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(rng.next(3, 6));
+    const Int lowest_k = std::max<Int>(1, static_cast<Int>(n) - 4);
+    const std::size_t k = static_cast<std::size_t>(
+        rng.next(lowest_k, static_cast<Int>(n) - 2));
+    VecI mu(n);
+    for (Int& m : mu) m = rng.next(1, 5);
+    const std::size_t deps = static_cast<std::size_t>(rng.next(1, 3));
+    MatI d(n, deps);
+    for (std::size_t c = 0; c < deps; ++c) {
+      bool nonzero = false;
+      for (std::size_t r = 0; r < n; ++r) {
+        d(r, c) = rng.next(-1, 2);
+        nonzero = nonzero || d(r, c) != 0;
+      }
+      if (!nonzero) d(c % n, c) = 1;
+    }
+    MatI space(k - 1, n);
+    for (std::size_t r = 0; r + 1 < k; ++r) {
+      for (std::size_t c = 0; c < n; ++c) space(r, c) = rng.next(-3, 3);
+    }
+    cases.push_back({model::UniformDependenceAlgorithm(
+                         "witness" + std::to_string(trial),
+                         model::IndexSet(mu), d),
+                     space});
+  }
+  // Candidates parallel to S (rank([S; pi]) < k), and an S without full
+  // row rank, whose every candidate the rank screen rejects.
+  cases.push_back({model::UniformDependenceAlgorithm(
+                       "rank_drop", model::IndexSet(VecI{1, 2, 1, 2}),
+                       MatI{{1, 0, 1}, {0, 1, 0}, {1, -1, 0}, {0, 0, 1}}),
+                   MatI{{1, 0, 0, 0}}});
+  cases.push_back({model::UniformDependenceAlgorithm(
+                       "rank_deficient_s", model::IndexSet(VecI{1, 1, 2, 1, 1}),
+                       MatI{{1}, {1}, {1}, {1}, {1}}),
+                   MatI{{1, -1, 0, 2, 0}, {-2, 2, 0, -4, 0}}});
+  const Int big = (Int{1} << 62) - 1;
+  cases.push_back({model::UniformDependenceAlgorithm(
+                       "near_limit_4", model::IndexSet(VecI{2, 1, 3, 2}),
+                       MatI{{1, 0}, {0, 1}, {1, -1}, {0, 1}}),
+                   MatI{{1, big, 0, 0}}, true});
+  cases.push_back({model::UniformDependenceAlgorithm(
+                       "near_limit_5", model::IndexSet(VecI{1, 2, 1, 3, 2}),
+                       MatI{{1}, {1}, {-1}, {1}, {1}}),
+                   MatI{{0, 1, -big, 0, 1}, {1, 0, 0, 1, 0}}, true});
+  return cases;
+}
+
+TEST(FixedSpace, RawWitnessScreenMatchesLadder) {
+  constexpr std::uint64_t kCandidatesPerCase = 500;
+  std::uint64_t accepted = 0;
+  std::uint64_t conflicted = 0;
+  std::uint64_t rank_rejected = 0;
+  for (const WitnessCase& c : witness_cases()) {
+    SCOPED_TRACE(c.algo.name());
+    const model::IndexSet& set = c.algo.index_set();
+    const FixedSpaceContext ctx(set, c.space);
+    VerdictCache cache;
+    std::uint64_t seen = 0;
+    std::uint64_t full_rank = 0;
+    Int level = 0;
+    for (Int f = 1; seen < kCandidatesPerCase; ++f) {
+      level = f;
+      enumerate_schedules_at(set, f, [&](const VecI& pi) {
+        ++seen;
+        const bool rank = mapping::MappingMatrix(c.space, pi).has_full_rank();
+        std::optional<mapping::ConflictVerdict> ladder;
+        if (rank) {
+          ++full_rank;
+          ladder = ctx.verdict(ConflictOracle::kExact, pi);
+        }
+        const bool expected = rank && ladder->conflict_free();
+        const std::optional<mapping::ConflictVerdict> screened =
+            ctx.screen(ConflictOracle::kExact, pi, nullptr);
+        EXPECT_EQ(screened.has_value(), expected);
+        if (screened && expected) {
+          EXPECT_EQ(screened->status, ladder->status);
+          EXPECT_EQ(screened->rule, ladder->rule);
+        }
+        // The cached screen keeps its own path: same answer, and one
+        // cache lookup per full-rank candidate.
+        const std::optional<mapping::ConflictVerdict> cached =
+            ctx.screen(ConflictOracle::kExact, pi, &cache);
+        EXPECT_EQ(cached.has_value(), expected);
+        if (expected) ++accepted;
+        if (rank && !expected) ++conflicted;
+        if (!rank) ++rank_rejected;
+        return seen < kCandidatesPerCase;
+      });
+    }
+    const VerdictCache::Stats stats = cache.stats();
+    if (c.near_limit) {
+      EXPECT_LE(stats.hits + stats.misses, full_rank);
+    } else {
+      EXPECT_EQ(stats.hits + stats.misses, full_rank);
+    }
+    EXPECT_EQ(stats.insertions, stats.entries);
+
+    SearchOptions opts;
+    opts.max_objective = level;
+    EXPECT_TRUE(procedure_5_1(c.algo, c.space, opts) ==
+                reference_scan(c.algo, c.space, level,
+                               ConflictOracle::kExact));
+  }
+  // Both outcomes occur, so the parity above is not vacuous.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(conflicted, 0u);
+  EXPECT_GT(rank_rejected, 0u);
 }
 
 }  // namespace

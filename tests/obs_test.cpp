@@ -269,6 +269,28 @@ TEST(ObsTest, SpaceSweepCountersRecordEachShortcut) {
   EXPECT_EQ(find_metric(all, "search.space.injective_shortcuts").total, 0u);
 }
 
+TEST(ObsTest, FixedSpaceScreenCountersAndSweepStatistics) {
+  if (!obs::kEnabled) GTEST_SKIP() << "SYSMAP_OBS=OFF build";
+  // unit_cube(4,3) with one-row spaces has k = n-2: the raw witness
+  // screen rejects candidates, and the exact ladder decides the rest.
+  search::SpaceSearchOptions options;
+  obs::reset();
+  search::explore_design_space(model::unit_cube_algorithm(4, 3), options);
+  std::vector<obs::Metric> all = obs::snapshot();
+  EXPECT_GT(find_metric(all, "search.fixed_space.raw_rejects").total, 0u);
+  EXPECT_GT(find_metric(all, "search.fixed_space.ladder_verdicts").total, 0u);
+  // The serial unit_cube(5,2) two-row sweep: the screen and the orbit
+  // canonicalizers change neither the orbit hits nor the leaves walked.
+  options.array_dims = 2;
+  obs::reset();
+  search::explore_design_space(model::unit_cube_algorithm(5, 2), options);
+  all = obs::snapshot();
+  EXPECT_EQ(find_metric(all, "search.pipeline.orbit_hits").total, 7085u);
+  EXPECT_EQ(find_metric(all, "search.space.orbit_hits").total, 7085u);
+  EXPECT_EQ(find_metric(all, "search.procedure51.leaves_visited").total,
+            412500u);
+}
+
 TEST(ObsTest, SimulateRecordsOneSpanPerPass) {
   if (!obs::kEnabled) GTEST_SKIP() << "SYSMAP_OBS=OFF build";
   // Example 5.1's design (S = [1 1 -1], Pi = [1 4 1]) routes every

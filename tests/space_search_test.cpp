@@ -9,6 +9,7 @@
 // shared feed, incumbent bound and orbit-count cache).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -191,8 +192,8 @@ TEST(SpaceOrbitKey, EqualMuColumnPermutationAliases) {
   const model::IndexSet cube = model::matmul(4).index_set();
   const MatI a{{1, 1, -1}};
   const MatI b{{1, -1, 1}};  // columns 2,3 swapped then sign-normalized
-  EXPECT_EQ(mapping::canonical_space_orbit_key(a, cube),
-            mapping::canonical_space_orbit_key(b, cube));
+  EXPECT_EQ(mapping::SpaceOrbitCanonicalizer(cube).key(a),
+            mapping::SpaceOrbitCanonicalizer(cube).key(b));
   // The counts the key promises equal really are equal.
   EXPECT_EQ(count_processor_images(cube, a), count_processor_images(cube, b));
 }
@@ -201,23 +202,118 @@ TEST(SpaceOrbitKey, UnequalMuColumnsDoNotAlias) {
   const model::IndexSet box{VecI{4, 2, 4}};
   const MatI a{{1, 2, 0}};
   const MatI b{{2, 1, 0}};  // swaps columns with DIFFERENT extents
-  EXPECT_FALSE(mapping::canonical_space_orbit_key(a, box) ==
-               mapping::canonical_space_orbit_key(b, box));
+  EXPECT_FALSE(mapping::SpaceOrbitCanonicalizer(box).key(a) ==
+               mapping::SpaceOrbitCanonicalizer(box).key(b));
 }
 
 TEST(SpaceOrbitKey, RowSignAndPermutationInvariant) {
   const model::IndexSet cube = model::matmul(3).index_set();
   const MatI a{{1, 0, -1}, {0, 1, 1}};
   const MatI b{{0, -1, -1}, {-1, 0, 1}};  // rows swapped and negated
-  EXPECT_EQ(mapping::canonical_space_orbit_key(a, cube),
-            mapping::canonical_space_orbit_key(b, cube));
+  EXPECT_EQ(mapping::SpaceOrbitCanonicalizer(cube).key(a),
+            mapping::SpaceOrbitCanonicalizer(cube).key(b));
+}
+
+// The per-call orbit minimization the canonicalizer replaced: rebuild the
+// arrangements, sort the rows of every arrangement as vectors, keep the
+// lexicographically least flattening.
+std::vector<Int> reference_orbit_form(const MatI& space,
+                                      const model::IndexSet& set,
+                                      const MatI* dependence) {
+  const std::size_t n = space.cols();
+  std::vector<std::vector<std::size_t>> arrangements =
+      mapping::detail::equal_extent_arrangements(
+          set, n, mapping::kMaxOrbitArrangements);
+  if (dependence != nullptr) {
+    std::vector<VecI> original(dependence->cols(), VecI(n));
+    for (std::size_t c = 0; c < dependence->cols(); ++c) {
+      for (std::size_t r = 0; r < n; ++r) original[c][r] = (*dependence)(r, c);
+    }
+    std::vector<VecI> sorted_original = original;
+    std::sort(sorted_original.begin(), sorted_original.end());
+    std::vector<std::vector<std::size_t>> valid;
+    for (const std::vector<std::size_t>& perm : arrangements) {
+      std::vector<VecI> permuted = original;
+      for (std::size_t c = 0; c < original.size(); ++c) {
+        for (std::size_t r = 0; r < n; ++r) {
+          permuted[c][r] = original[c][perm[r]];
+        }
+      }
+      std::sort(permuted.begin(), permuted.end());
+      if (permuted == sorted_original) valid.push_back(perm);
+    }
+    arrangements = valid;
+  }
+  std::vector<Int> best;
+  for (const std::vector<std::size_t>& perm : arrangements) {
+    std::vector<VecI> rows(space.rows(), VecI(n));
+    for (std::size_t r = 0; r < space.rows(); ++r) {
+      for (std::size_t c = 0; c < n; ++c) rows[r][c] = space(r, perm[c]);
+      for (std::size_t c = 0; c < n; ++c) {
+        if (rows[r][c] == 0) continue;
+        if (rows[r][c] < 0) {
+          for (std::size_t e = c; e < n; ++e) rows[r][e] = -rows[r][e];
+        }
+        break;
+      }
+    }
+    std::sort(rows.begin(), rows.end());
+    std::vector<Int> flat;
+    for (const VecI& row : rows) {
+      flat.insert(flat.end(), row.begin(), row.end());
+    }
+    if (best.empty() || flat < best) best = flat;
+  }
+  std::vector<Int> payload;
+  for (std::size_t i = 0; i < n; ++i) payload.push_back(set.mu(i));
+  payload.insert(payload.end(), best.begin(), best.end());
+  if (dependence != nullptr) {
+    for (std::size_t c = 0; c < dependence->cols(); ++c) {
+      for (std::size_t r = 0; r < n; ++r) {
+        payload.push_back((*dependence)(r, c));
+      }
+    }
+  }
+  return payload;
+}
+
+TEST(SpaceOrbitKey, CanonicalizerMatchesPerCallReference) {
+  std::mt19937_64 rng(20261018);
+  auto draw = [&rng](Int lo, Int hi) {
+    return std::uniform_int_distribution<Int>(lo, hi)(rng);
+  };
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(draw(2, 5));
+    VecI mu(n);
+    for (Int& m : mu) m = draw(2, 3);  // few distinct extents: big orbits
+    const model::IndexSet set(mu);
+    MatI d(n, static_cast<std::size_t>(draw(1, 3)));
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < d.cols(); ++c) d(r, c) = draw(0, 1);
+    }
+    const mapping::SpaceOrbitCanonicalizer cost(set);
+    const mapping::SpaceOrbitCanonicalizer schedule(set, d);
+    for (int s = 0; s < 20; ++s) {
+      MatI space(static_cast<std::size_t>(draw(1, 3)), n);
+      for (std::size_t r = 0; r < space.rows(); ++r) {
+        for (std::size_t c = 0; c < n; ++c) space(r, c) = draw(-2, 2);
+      }
+      const mapping::ConflictKey a = cost.key(space);
+      EXPECT_EQ(a.kind, mapping::ConflictKey::Kind::kSpaceOrbit);
+      EXPECT_EQ(a.k, space.rows());
+      EXPECT_EQ(a.payload, reference_orbit_form(space, set, nullptr));
+      const mapping::ConflictKey b = schedule.key(space);
+      EXPECT_EQ(b.kind, mapping::ConflictKey::Kind::kScheduleOrbit);
+      EXPECT_EQ(b.payload, reference_orbit_form(space, set, &d));
+    }
+  }
 }
 
 TEST(ImageCountCacheTest, LookupInsertStats) {
   ImageCountCache cache;
   const model::IndexSet cube = model::matmul(2).index_set();
   const mapping::ConflictKey key =
-      mapping::canonical_space_orbit_key(MatI{{1, 1, -1}}, cube);
+      mapping::SpaceOrbitCanonicalizer(cube).key(MatI{{1, 1, -1}});
   EXPECT_FALSE(cache.lookup(key).has_value());
   cache.insert(key, 13);
   const std::optional<Int> hit = cache.lookup(key);
