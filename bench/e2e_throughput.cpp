@@ -15,8 +15,9 @@
 //   fused_parallel  the same, fanned over the thread pool with the
 //                   deterministic (objective, total, procs, pos) reduction
 // All modes are bit-identical by construction in every field of
-// JointMappingResult; this harness asserts that (operator==) before
-// reporting any number and exits nonzero on violation.
+// JointMappingResult; this harness asserts that (operator==), and that the
+// winner's space rescored cold and fused gives equal MappingSolutions,
+// before reporting any number, and exits nonzero on violation.
 //
 // Output: a human-readable table on stdout and JSON lines (one object per
 // case/mode with the median time of its reps and their range, plus
@@ -33,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "search/pipeline.hpp"
 #include "search/space_optimal.hpp"
 #include "sysmap.hpp"
 
@@ -111,6 +113,22 @@ Timing run_mode(const Case& c, Mode mode, int reps, std::size_t threads) {
   return out;
 }
 
+// The joint winner's space scored once cold and once through a fused
+// pipeline: both must return the same MappingSolution (operator==), and
+// its schedule must be the winner's.
+bool winner_rescores_identically(const Case& c,
+                                 const search::JointMappingResult& r) {
+  if (!r.found) return true;
+  search::PipelineOptions options;
+  options.design_array = false;
+  const search::MappingPipeline cold(options);
+  search::MappingPipeline fused(options);
+  fused.enable_fusion({});
+  const search::MappingSolution a = cold.find_time_optimal(c.algo, r.space);
+  return a == fused.score(c.algo, r.space) && a.found && a.pi == r.pi &&
+         a.objective == r.objective && a.verdict == r.verdict;
+}
+
 void emit_json(std::ostream& json, const Case& c, Mode mode, const Timing& t,
                std::size_t threads) {
   double sps =
@@ -184,7 +202,8 @@ int main(int argc, char** argv) {
     Timing cold = run_mode(c, Mode::kCold, smoke ? 1 : 3, threads);
     Timing fused = run_mode(c, Mode::kFused, reps, threads);
     Timing par = run_mode(c, Mode::kFusedParallel, reps, threads);
-    bool ok = cold.result == fused.result && cold.result == par.result;
+    bool ok = cold.result == fused.result && cold.result == par.result &&
+              winner_rescores_identically(c, cold.result);
     if (!ok) {
       std::cerr << "PARITY VIOLATION in " << c.name << "\n";
       all_parity_ok = false;

@@ -15,9 +15,11 @@
 // Cache hit/miss counts are deltas of the bench-owned cache's stats().
 //
 // Output: a human-readable table on stdout and JSON lines (one object per
-// case/oracle/mode with cache counters, plus speedup summary objects)
+// case/oracle/mode with the median time of its reps, their range and the
+// median rep's cache counters, plus speedup summary objects)
 // written to $SYSMAP_BENCH_JSON or BENCH_search.json.  Set
 // SYSMAP_BENCH_SMOKE=1 for a single-rep quick pass (CI smoke).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -54,9 +56,12 @@ std::string oracle_name(search::ConflictOracle oracle) {
 }
 
 struct Timing {
-  double ms = 0;
+  double ms = 0;  ///< median over the reps
+  double ms_min = 0;
+  double ms_max = 0;
+  int reps = 0;
   search::SearchResult result;
-  std::uint64_t hits = 0;  ///< verdict-cache stats() delta of the timed rep
+  std::uint64_t hits = 0;  ///< verdict-cache stats() delta of the median rep
   std::uint64_t misses = 0;
 };
 
@@ -72,31 +77,55 @@ const char* mode_name(Mode m) {
   return "?";
 }
 
-/// Mode::kCtx without a cache, Mode::kCtxCache with one.
+/// Mode::kCtx without a cache, Mode::kCtxCache with one.  Times `reps`
+/// runs and reports their median (with the range): a best-of row would
+/// favor whichever rep the host happened to leave alone.  Every rep must
+/// return the first rep's result.
 Timing run_mode(const Case& c, search::ConflictOracle oracle, int reps,
                 search::VerdictCache* cache = nullptr) {
   search::SearchOptions opts;
   opts.oracle = oracle;
   opts.verdict_cache = cache;
-  Timing best;
+  Timing out;
+  struct Sample {
+    double ms;
+    std::uint64_t hits;
+    std::uint64_t misses;
+  };
+  std::vector<Sample> samples;
   for (int rep = 0; rep < reps; ++rep) {
     const search::VerdictCache::Stats s0 =
         cache ? cache->stats() : search::VerdictCache::Stats{};
     auto t0 = std::chrono::steady_clock::now();
     search::SearchResult r = search::procedure_5_1(c.algo, c.space, opts);
     auto t1 = std::chrono::steady_clock::now();
-    double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (rep == 0 || ms < best.ms) {
-      best.ms = ms;
-      best.result = std::move(r);
-      if (cache) {
-        const search::VerdictCache::Stats s1 = cache->stats();
-        best.hits = s1.hits - s0.hits;
-        best.misses = s1.misses - s0.misses;
-      }
+    Sample sample{std::chrono::duration<double, std::milli>(t1 - t0).count(),
+                  0, 0};
+    if (cache) {
+      const search::VerdictCache::Stats s1 = cache->stats();
+      sample.hits = s1.hits - s0.hits;
+      sample.misses = s1.misses - s0.misses;
+    }
+    samples.push_back(sample);
+    if (rep == 0) {
+      out.result = std::move(r);
+    } else if (r != out.result) {
+      std::cerr << "PARITY VIOLATION across reps in " << c.name << "\n";
+      std::exit(1);
     }
   }
-  return best;
+  std::sort(samples.begin(), samples.end(),
+            [](const Sample& a, const Sample& b) { return a.ms < b.ms; });
+  const std::size_t mid = samples.size() / 2;
+  out.ms = samples.size() % 2 == 1
+               ? samples[mid].ms
+               : (samples[mid - 1].ms + samples[mid].ms) / 2;
+  out.ms_min = samples.front().ms;
+  out.ms_max = samples.back().ms;
+  out.reps = reps;
+  out.hits = samples[mid].hits;
+  out.misses = samples[mid].misses;
+  return out;
 }
 
 void emit_json(std::ostream& json, const Case& c,
@@ -110,7 +139,8 @@ void emit_json(std::ostream& json, const Case& c,
        << ",\"k\":" << (c.space.rows() + 1) << ",\"oracle\":\""
        << oracle_name(oracle) << "\""
        << ",\"mode\":\"" << mode_name(mode) << "\""
-       << ",\"ms\":" << t.ms
+       << ",\"ms\":" << t.ms << ",\"ms_min\":" << t.ms_min
+       << ",\"ms_max\":" << t.ms_max << ",\"reps\":" << t.reps
        << ",\"candidates_tested\":" << t.result.candidates_tested
        << ",\"passed_dependence\":" << t.result.candidates_passed_dependence
        << ",\"candidates_per_sec\":" << cps

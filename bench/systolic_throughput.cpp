@@ -12,10 +12,12 @@
 // any divergence.
 //
 // Output: a human-readable table on stdout and JSON lines (one object per
-// case/mode plus per-case speedup summaries) written to
+// case/mode with the median time of its reps and their range, plus
+// per-case speedup summaries) written to
 // $SYSMAP_BENCH_JSON or BENCH_sim.json.  Set SYSMAP_BENCH_SMOKE=1 for a
 // single-rep quick pass over the two cheapest cases (CI smoke); pass
 // --threads N to size the parallel mode (default 4).
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -41,7 +43,10 @@ struct Case {
 };
 
 struct Timing {
-  double ms = 0;
+  double ms = 0;  ///< median over the reps
+  double ms_min = 0;
+  double ms_max = 0;
+  int reps = 0;
   SimulationReport report;
 };
 
@@ -59,23 +64,37 @@ const char* mode_name(Mode m) {
   return "?";
 }
 
+// Times `reps` runs and reports their median (with the range): a best-of
+// row would favor whichever rep the host happened to leave alone.  Every
+// rep must return the first rep's report.
 Timing run_mode(const Case& c, Mode mode, int reps, std::size_t threads) {
   SimulationOptions opts;
   opts.num_threads = mode == Mode::kParallel ? threads : 1;
-  Timing best;
+  Timing out;
+  std::vector<double> samples;
   for (int rep = 0; rep < reps; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
     SimulationReport r = mode == Mode::kSeed
                              ? simulate_seed(c.algo, c.design)
                              : simulate(c.algo, c.design, opts);
     auto t1 = std::chrono::steady_clock::now();
-    double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (rep == 0 || ms < best.ms) {
-      best.ms = ms;
-      best.report = std::move(r);
+    samples.push_back(
+        std::chrono::duration<double, std::milli>(t1 - t0).count());
+    if (rep == 0) {
+      out.report = std::move(r);
+    } else if (!(r == out.report)) {
+      std::cerr << "PARITY VIOLATION across reps in " << c.name << "\n";
+      std::exit(1);
     }
   }
-  return best;
+  std::sort(samples.begin(), samples.end());
+  const std::size_t mid = samples.size() / 2;
+  out.ms = samples.size() % 2 == 1 ? samples[mid]
+                                   : (samples[mid - 1] + samples[mid]) / 2;
+  out.ms_min = samples.front();
+  out.ms_max = samples.back();
+  out.reps = reps;
+  return out;
 }
 
 void emit_json(std::ostream& json, const Case& c, Mode mode, const Timing& t,
@@ -87,7 +106,8 @@ void emit_json(std::ostream& json, const Case& c, Mode mode, const Timing& t,
        << ",\"oracle\":\"sim\""
        << ",\"mode\":\"" << mode_name(mode) << "\""
        << ",\"threads\":" << (mode == Mode::kParallel ? threads : 1)
-       << ",\"ms\":" << t.ms
+       << ",\"ms\":" << t.ms << ",\"ms_min\":" << t.ms_min
+       << ",\"ms_max\":" << t.ms_max << ",\"reps\":" << t.reps
        << ",\"points\":" << t.report.computations
        << ",\"points_per_sec\":" << pps
        << ",\"conflicts\":" << t.report.total_conflicts

@@ -1,6 +1,8 @@
 #include "search/pipeline.hpp"
 
 #include <algorithm>
+#include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -15,6 +17,7 @@
 #include "search/enumerate.hpp"
 #include "search/fixed_space.hpp"
 #include "search/ilp_formulation.hpp"
+#include "support/flat_image_set.hpp"
 
 namespace sysmap::search {
 
@@ -24,11 +27,90 @@ namespace {
 /// remembers.
 constexpr std::size_t kOrthantMemoCapacity = 16;
 
+// cum[q] = the candidates of levels 1..q * stride (every level that is not
+// a multiple of the stride is empty), q = 0..level / stride, summed from
+// row 0 of the suffix counts -- never by enumeration, which is what lets
+// a search that skips levels reproduce the cold scan's candidates_tested
+// without walking them.  Empty when the table does not reach `level` or a
+// sum saturates.
+std::vector<std::uint64_t> level_prefix(const model::IndexSet& set,
+                                        Int level) {
+  SuffixCounts counts(set);
+  if (!counts.grow(level)) return {};
+  const Int stride = objective_level_stride(set);
+  std::vector<std::uint64_t> cum(static_cast<std::size_t>(level / stride) + 1,
+                                 0);
+  for (std::size_t q = 1; q < cum.size(); ++q) {
+    const std::uint64_t at = counts.at(0, static_cast<Int>(q) * stride);
+    if (__builtin_add_overflow(cum[q - 1], at, &cum[q]) ||
+        cum[q] == SuffixCounts::kSaturated) {
+      return {};
+    }
+  }
+  return cum;
+}
+
+// The pigeonhole start level of a full Procedure 5.1 scan: the first
+// multiple of `stride` at or above F(S) - 1 (pipeline.hpp).  nullopt
+// starts the scan at level 1: F(S) cannot lift it, the image box does not
+// pack, |J| overflows a fiber count, the level lies beyond the count
+// tables, or a candidate below it could overflow a delay Pi d_j -- there
+// the cold scan's checked dependence test throws, and skipping the level
+// must not hide that.  Every |Pi d_j| at a level <= f is at most
+// sum_i floor(f / mu_i) |d_ij|.
+std::optional<Int> pigeonhole_level(const model::IndexSet& set,
+                                    const MatI& space, const MatI& d,
+                                    Int stride) {
+  // Walk J only when F(S) could lift the start above the first level.  A
+  // fiber point is pinned by its coordinates outside a column basis of S,
+  // so a full-row-rank S has F(S) <= the product of the n - rows(S)
+  // largest mu_i + 1.  (A rank-deficient S admits no conflict-free T, so
+  // its scan finds nothing from any start.)
+  VecI extents = set.bounds();
+  std::sort(extents.begin(), extents.end(), std::greater<>());
+  Int most = 1;
+  bool fits = true;
+  for (std::size_t i = 0; fits && i + space.rows() < extents.size(); ++i) {
+    Int factor = 0;
+    fits = !__builtin_add_overflow(extents[i], 1, &factor) &&
+           !__builtin_mul_overflow(most, factor, &most);
+  }
+  if (fits && most - 1 <= stride) return std::nullopt;
+  const std::optional<Int> fiber = support::largest_fiber(set, space);
+  if (!fiber || *fiber <= 1) return std::nullopt;
+  const Int level = (*fiber - 2) / stride * stride + stride;
+  if (level / stride > kMaxCountLevels) return std::nullopt;
+  try {
+    for (std::size_t c = 0; c < d.cols(); ++c) {
+      Int delay = 0;
+      for (std::size_t i = 0; i < set.dimension(); ++i) {
+        delay = exact::add_checked(
+            delay, exact::mul_checked((level - 1) / set.mu(i),
+                                      exact::abs_checked(d(i, c))));
+      }
+    }
+  } catch (const exact::OverflowError&) {
+    return std::nullopt;
+  }
+  return level;
+}
+
 // Completes a found schedule with array design and optional simulation.
 void finalize(const model::UniformDependenceAlgorithm& algo,
               const MatI& space, const PipelineOptions& options,
               MappingSolution& solution) {
-  if (!solution.found || !options.design_array) return;
+  if (!solution.found) return;
+#if SYSMAP_CONTRACTS_ACTIVE
+  // Every route's winner honours the pigeonhole bound f* >= F(S) - 1.
+  if (const std::optional<Int> fiber =
+          support::largest_fiber(algo.index_set(), space)) {
+    SYSMAP_CONTRACT(solution.objective >= *fiber - 1,
+                    "objective " << solution.objective
+                                 << " is below the pigeonhole bound F(S) - 1 = "
+                                 << *fiber - 1);
+  }
+#endif
+  if (!options.design_array) return;
   SYSMAP_SPAN("search.pipeline.finalize");
   mapping::MappingMatrix t(space, solution.pi);
   if (options.target) {
@@ -51,17 +133,51 @@ void finalize(const model::UniformDependenceAlgorithm& algo,
 }  // namespace
 
 // Everything the fused path shares across score() calls.  All mutable
-// state sits behind one mutex (entries, prefix, signature); the searches
-// themselves run outside the lock, so workers serialize only on the map
-// probes.  Advisory counts go to the search.pipeline.* obs counters.
+// state sits behind one mutex (entries and their claims, prefix,
+// signature); the searches themselves run outside the lock, so workers
+// serialize only on the map probes.  Advisory counts go to the
+// search.pipeline.* obs counters.
 struct MappingPipeline::Fusion {
   struct Entry {
     bool found = false;
     Int objective = 0;  ///< certified optimum f* when found
     Int bound = 0;      ///< exhausted scan bound when not found
+    bool scanning = false;  ///< a claim: the orbit's full scan is running
+  };
+
+  /// What a solve learns from the orbit map before it searches.
+  struct Probe {
+    std::optional<Entry> entry;  ///< the orbit's stored fact, if any
+    bool claimed = false;        ///< no entry: this solve owns the scan
+    bool busy = false;  ///< another solve is scanning the orbit (deferred)
+  };
+
+  /// Drops a claim whose scan ended without storing (a throw), and wakes
+  /// every solve waiting on the orbit.
+  class Claim {
+   public:
+    Claim(Fusion& fusion, const mapping::ConflictKey& key)
+        : fusion_(&fusion), key_(&key) {}
+    Claim(const Claim&) = delete;
+    Claim& operator=(const Claim&) = delete;
+    ~Claim() {
+      {
+        std::lock_guard<std::mutex> lock(fusion_->mu);
+        auto it = fusion_->entries.find(*key_);
+        if (it != fusion_->entries.end() && it->second.scanning) {
+          fusion_->entries.erase(it);
+        }
+      }
+      fusion_->released.notify_all();
+    }
+
+   private:
+    Fusion* fusion_;
+    const mapping::ConflictKey* key_;
   };
 
   std::mutex mu;
+  std::condition_variable released;
   bool ready = false;
   bool prefix_ok = false;
   std::vector<Int> sig;  ///< n, extents, dependence matrix -- resets state
@@ -100,23 +216,11 @@ struct MappingPipeline::Fusion {
       entries.clear();
       schedule_orbit =
           std::make_shared<const mapping::SpaceOrbitCanonicalizer>(set, d);
-      // cum[k] = the candidates of levels 1..k * stride (every level that
-      // is not a multiple of the stride is empty), summed from row 0 of
-      // the suffix counts -- never by enumeration, which is what lets a
-      // schedule-orbit hit reproduce the cold search's candidates_tested
-      // without re-walking the skipped levels.  A count that overflows
-      // uint64, or a bound the table does not fit, stands the cache down.
-      SuffixCounts counts(set);
+      // A bound the prefix table does not fit, or a count that overflows
+      // uint64, stands the cache down.
       stride = objective_level_stride(set);
-      prefix_ok = counts.grow(resolved_max);
-      const auto top = static_cast<std::size_t>(resolved_max / stride);
-      cum.assign(prefix_ok ? top + 1 : 0, 0);
-      for (std::size_t k = 1; prefix_ok && k <= top; ++k) {
-        const std::uint64_t level =
-            counts.at(0, static_cast<Int>(k) * stride);
-        prefix_ok = !__builtin_add_overflow(cum[k - 1], level, &cum[k]) &&
-                    cum[k] != SuffixCounts::kSaturated;
-      }
+      cum = level_prefix(set, resolved_max);
+      prefix_ok = !cum.empty();
       ready = true;
     }
     if (!prefix_ok) return nullptr;
@@ -139,15 +243,32 @@ struct MappingPipeline::Fusion {
     return forced;
   }
 
-  std::optional<Entry> lookup(const mapping::ConflictKey& key) {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = entries.find(key);
-    if (it == entries.end()) {
-      SYSMAP_COUNT("search.pipeline.orbit_misses", 1);
-      return std::nullopt;
+  /// The orbit's entry when one is stored (a hit); otherwise the caller
+  /// claims the orbit's scan (a miss).  An orbit another solve is scanning
+  /// is waited for -- or, with `may_defer`, reported busy at once.
+  Probe probe(const mapping::ConflictKey& key, bool may_defer) {
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) {
+      auto [it, inserted] = entries.try_emplace(key);
+      Probe out;
+      if (inserted) {
+        SYSMAP_COUNT("search.pipeline.orbit_misses", 1);
+        it->second.scanning = true;
+        out.claimed = true;
+        return out;
+      }
+      if (!it->second.scanning) {
+        SYSMAP_COUNT("search.pipeline.orbit_hits", 1);
+        out.entry = it->second;
+        return out;
+      }
+      if (may_defer) {
+        SYSMAP_COUNT("search.pipeline.orbit_deferrals", 1);
+        out.busy = true;
+        return out;
+      }
+      released.wait(lock);
     }
-    SYSMAP_COUNT("search.pipeline.orbit_hits", 1);
-    return it->second;
   }
 
   /// First-writer-wins with monotone strengthening: a found entry (the
@@ -166,7 +287,7 @@ struct MappingPipeline::Fusion {
     auto [it, inserted] = entries.emplace(key, e);
     if (inserted) return;
     Entry& cur = it->second;
-    if (e.found) {
+    if (cur.scanning || e.found) {
       cur = e;
     } else if (!cur.found && e.bound > cur.bound) {
       cur.bound = e.bound;
@@ -192,20 +313,41 @@ void MappingPipeline::enable_fusion(const FusionOptions& /*fusion*/) {
 
 MappingSolution MappingPipeline::find_time_optimal(
     const model::UniformDependenceAlgorithm& algo, const MatI& space) const {
-  return solve(algo, space, /*fusion=*/nullptr, kNoCap);
+  SYSMAP_COUNT("search.pipeline.solves", 1);
+  return *solve(algo, space, /*fusion=*/nullptr, kNoCap, nullptr, false);
 }
 
 MappingSolution MappingPipeline::score(
     const model::UniformDependenceAlgorithm& algo, const MatI& space,
     Int cap) const {
-  return solve(algo, space, fusion_.get(), cap);
+  SYSMAP_COUNT("search.pipeline.solves", 1);
+  return *solve(algo, space, fusion_.get(), cap, nullptr, false);
 }
 
-MappingSolution MappingPipeline::solve(
-    const model::UniformDependenceAlgorithm& algo, const MatI& space,
-    Fusion* fusion, Int cap) const {
-  SYSMAP_SPAN("search.pipeline.solve");
+std::variant<MappingSolution, MappingPipeline::Deferred>
+MappingPipeline::try_score(const model::UniformDependenceAlgorithm& algo,
+                           const MatI& space, Int cap) const {
+  std::optional<mapping::ConflictKey> key;
+  std::optional<MappingSolution> solution =
+      solve(algo, space, fusion_.get(), cap, &key, /*may_defer=*/true);
+  if (!solution) return Deferred{space, std::move(*key)};
   SYSMAP_COUNT("search.pipeline.solves", 1);
+  return std::move(*solution);
+}
+
+MappingSolution MappingPipeline::resume(
+    const model::UniformDependenceAlgorithm& algo, const Deferred& deferred,
+    Int cap) const {
+  SYSMAP_COUNT("search.pipeline.solves", 1);
+  std::optional<mapping::ConflictKey> key = deferred.orbit_key;
+  return *solve(algo, deferred.space, fusion_.get(), cap, &key, false);
+}
+
+std::optional<MappingSolution> MappingPipeline::solve(
+    const model::UniformDependenceAlgorithm& algo, const MatI& space,
+    Fusion* fusion, Int cap, std::optional<mapping::ConflictKey>* orbit_key,
+    bool may_defer) const {
+  SYSMAP_SPAN("search.pipeline.solve");
   const model::IndexSet& set = algo.index_set();
   const MatI& d = algo.dependence_matrix();
   const std::size_t n = algo.dimension();
@@ -322,63 +464,99 @@ MappingSolution MappingPipeline::solve(
   // Pure Procedure 5.1 (also the fall-through after an unverified ILP).
   // The schedule-orbit cache transfers one route-independent fact between
   // candidates with equal schedule-orbit keys (SpaceOrbitCanonicalizer):
-  // the certified optimal objective f* of the full scan from level 1 (or its
+  // the certified optimal objective f* of the full scan (or its
   // nonexistence up to an exhausted bound).  A hit re-runs the search
   // seeded at min_objective = f* on the ACTUAL S -- same winner, verdict
   // and statistics as the cold scan, with every level below f* recovered
   // from the closed-form prefix counts instead of re-screened.
-  search_options.context = shared_context();
   std::shared_ptr<const mapping::SpaceOrbitCanonicalizer> orbit;
   if (fusion != nullptr && !options_.target) {
     orbit = fusion->prepare(algo, resolved_max);
   }
+  std::optional<mapping::ConflictKey> own_key;
+  if (orbit_key == nullptr) orbit_key = &own_key;
+  std::optional<Fusion::Claim> claim;
+  std::optional<Fusion::Entry> entry;
+  if (orbit) {
+    if (!*orbit_key) *orbit_key = orbit->key(space);
+    Fusion::Probe probe = fusion->probe(**orbit_key, may_defer);
+    if (probe.busy) return std::nullopt;
+    if (probe.claimed) claim.emplace(*fusion, **orbit_key);
+    entry = probe.entry;
+  }
+  search_options.context = shared_context();
   SearchResult result;
   bool resolved = false;
-  std::optional<mapping::ConflictKey> orbit_key;
-  if (orbit) {
-    orbit_key = orbit->key(space);
-    const std::optional<Fusion::Entry> entry = fusion->lookup(*orbit_key);
-    if (entry && entry->found) {
-      if (entry->objective <= eff_max) {
-        search_options.min_objective = entry->objective;
-        SearchResult seeded = procedure_5_1(algo, space, search_options);
-        SYSMAP_CONTRACT(seeded.found && seeded.objective == entry->objective,
-                        "schedule-orbit entry promised an optimum at "
-                            << entry->objective
-                            << " but the seeded search disagreed");
-        if (seeded.found && seeded.objective == entry->objective) {
-          seeded.candidates_tested += fusion->below(entry->objective);
-          result = std::move(seeded);
-          resolved = true;
-          SYSMAP_COUNT("search.pipeline.seeded_searches", 1);
-        } else {
-          // Defensive only (contract breach): fall back to the full scan.
-          search_options.min_objective = 0;
-        }
-      } else {
-        // The certified optimum lies beyond this call's bound: the cold
-        // scan would exhaust every level up to eff_max and find nothing.
-        result.candidates_tested = fusion->through(eff_max);
+  if (entry && entry->found) {
+    if (entry->objective <= eff_max) {
+      search_options.min_objective = entry->objective;
+      SearchResult seeded = procedure_5_1(algo, space, search_options);
+      SYSMAP_CONTRACT(seeded.found && seeded.objective == entry->objective,
+                      "schedule-orbit entry promised an optimum at "
+                          << entry->objective
+                          << " but the seeded search disagreed");
+      if (seeded.found && seeded.objective == entry->objective) {
+        seeded.candidates_tested += fusion->below(entry->objective);
+        result = std::move(seeded);
         resolved = true;
-        if (capped && entry->objective > cap &&
-            entry->objective <= resolved_max) {
-          note_truncated();
-        }
+        SYSMAP_COUNT("search.pipeline.seeded_searches", 1);
+      } else {
+        // Defensive only (contract breach): fall back to the full scan.
+        search_options.min_objective = 0;
       }
-    } else if (entry && !entry->found && eff_max <= entry->bound) {
-      // Certified: no feasible Pi at any level <= entry->bound.
+    } else {
+      // The certified optimum lies beyond this call's bound: the cold
+      // scan would exhaust every level up to eff_max and find nothing.
       result.candidates_tested = fusion->through(eff_max);
       resolved = true;
-      if (capped && eff_max < resolved_max) {
+      if (capped && entry->objective > cap &&
+          entry->objective <= resolved_max) {
         note_truncated();
       }
     }
+  } else if (entry && !entry->found && eff_max <= entry->bound) {
+    // Certified: no feasible Pi at any level <= entry->bound.
+    result.candidates_tested = fusion->through(eff_max);
+    resolved = true;
+    if (capped && eff_max < resolved_max) {
+      note_truncated();
+    }
   }
   if (!resolved) {
-    result = procedure_5_1(algo, space, search_options);
-    if (orbit_key) {
-      fusion->store(*orbit_key, result.found, result.objective, eff_max);
+    // The full scan starts at the pigeonhole level; the candidates of the
+    // skipped levels come from the prefix counts (the orbit's table when
+    // fused, a local one otherwise).
+    const Int stride = objective_level_stride(set);
+    // (k > n is left to procedure_5_1, which rejects it.)
+    const std::optional<Int> start =
+        k <= n ? pigeonhole_level(set, space, d, stride) : std::nullopt;
+    std::optional<std::uint64_t> skipped;
+    if (start && *start > stride) {
+      const Int last = std::min(*start - 1, eff_max);
+      if (orbit) {
+        skipped = fusion->through(last);
+      } else if (std::vector<std::uint64_t> cum = level_prefix(set, last);
+                 !cum.empty()) {
+        skipped = cum.back();
+      }
+      if (skipped) {
+        SYSMAP_COUNT("search.pipeline.pigeonhole_levels_skipped",
+                     static_cast<std::uint64_t>(last / stride));
+      }
     }
+    if (skipped && *start > eff_max) {
+      // No level up to eff_max can hold a conflict-free Pi: the scan would
+      // exhaust them all and find nothing.
+      result.candidates_tested = *skipped;
+    } else {
+      if (skipped) search_options.min_objective = *start;
+      result = procedure_5_1(algo, space, search_options);
+      if (skipped) result.candidates_tested += *skipped;
+    }
+    if (orbit) {
+      fusion->store(**orbit_key, result.found, result.objective, eff_max);
+    }
+    claim.reset();  // wakes the solves waiting for this orbit
     if (capped && !result.found && eff_max < resolved_max) {
       note_truncated();
     }

@@ -11,6 +11,21 @@
 //  - otherwise Procedure 5.1 runs directly (optimal for k >= n-3 by the
 //    exact theorems; exact here for every k via the validated dispatcher).
 //
+// PIGEONHOLE START.  A conflict-free T = [S; Pi] is injective on J
+// (Theorem 2.2), so the F(S) points of S's largest fiber need F(S)
+// distinct times Pi j, and on the box Pi j takes at most f + 1 values:
+// f* >= F(S) - 1.  Every full Procedure 5.1 scan (cold, fused orbit miss,
+// fall-through after an unverified ILP) therefore starts at the first
+// objective level on the stride that is >= F(S) - 1
+// (support::largest_fiber), and the skipped levels' candidates are added
+// to candidates_tested from the closed-form level counts, so every field
+// equals the scan from level 1.  When that level lies beyond the bound,
+// the search returns not-found without scanning.  The scan starts at
+// level 1 instead when a bound on F(S) from S alone shows it cannot lift
+// the start (no walk of J then), the image box does not pack, the level
+// lies beyond the count tables, or a skipped candidate's Pi D could
+// overflow.  The ILP route keeps its own lower bound.
+//
 // COLD vs FUSED.  find_time_optimal() is the stateless cold path --
 // byte-for-byte the old core::Mapper::find_time_optimal, preserved as the
 // parity oracle.  score() is the fused path for sweeps that score MANY
@@ -27,6 +42,11 @@
 //  (c) an optional caller-supplied incumbent cap on the objective
 //      (Int cap) that truncates searches which provably cannot beat the
 //      best full mapping found so far.
+// Each schedule orbit is scanned ONCE, whatever the thread count: the
+// first solve that misses an orbit claims it, and a concurrent solve of
+// the same orbit waits for that scan (score) or hands the space back as
+// a Deferred to finish later as a hit (try_score / resume), so a sweep
+// worker keeps scoring other spaces meanwhile.
 // Conflict verdicts are NOT memoized: every candidate is decided by
 // FixedSpaceContext::screen directly, exactly as on the cold path.  A memo
 // shared by the sweep workers would put a lock on the hottest path and
@@ -35,16 +55,19 @@
 // score() without a cap is bit-identical to find_time_optimal() in every
 // field, for any interleaving of spaces and threads; the fusion state is
 // internally synchronized, so one const pipeline may be shared by every
-// worker of a sweep.  The fusion's advisory counts (orbit hits and
-// misses, seeded re-runs, cap truncations) live only in the
-// search.pipeline.* obs counters (docs/OBSERVABILITY.md).
+// worker of a sweep.  The fusion's advisory counts (orbit hits, misses
+// and deferrals, seeded re-runs, pigeonhole-skipped levels, cap
+// truncations) live only in the search.pipeline.* obs counters
+// (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 
+#include "mapping/canonical_key.hpp"
 #include "mapping/conflict.hpp"
 #include "model/algorithm.hpp"
 #include "schedule/interconnect.hpp"
@@ -92,6 +115,11 @@ struct MappingSolution {
   /// cannot beat the incumbent objective).  EXCLUDED from the
   /// bit-identical contract -- the cold path never sets it.
   bool truncated_by_cap = false;
+
+  /// Compares every field, truncated_by_cap included: a caller comparing
+  /// a capped score() against the cold path clears that flag first.
+  friend bool operator==(const MappingSolution&,
+                         const MappingSolution&) = default;
 };
 
 class MappingPipeline {
@@ -132,15 +160,42 @@ class MappingPipeline {
   /// them; spaces whose optimum provably exceeds the cap come back
   /// found = false (truncated_by_cap set when the heuristic bound alone
   /// would not have stopped the search).  Thread-safe; one pipeline may be
-  /// shared across sweep workers.
+  /// shared across sweep workers.  A score() of a space whose schedule
+  /// orbit another thread is scanning waits for that scan and then hits.
   MappingSolution score(const model::UniformDependenceAlgorithm& algo,
                         const MatI& space, Int cap = kNoCap) const;
+
+  /// A score() that try_score() put off because another thread was
+  /// running the full scan of the space's schedule orbit.  Carries the
+  /// orbit key, so resume() does not canonicalize the space again.
+  struct Deferred {
+    MatI space;
+    mapping::ConflictKey orbit_key;
+  };
+
+  /// score() for a sweep worker with other spaces to score: when another
+  /// thread is already scanning S's schedule orbit, returns a Deferred at
+  /// once instead of waiting.  Otherwise exactly score().
+  std::variant<MappingSolution, Deferred> try_score(
+      const model::UniformDependenceAlgorithm& algo, const MatI& space,
+      Int cap = kNoCap) const;
+
+  /// Finishes a deferred score against the same algorithm, waiting for
+  /// the orbit's scan when it is still running; equal to
+  /// score(algo, deferred.space, cap).
+  MappingSolution resume(const model::UniformDependenceAlgorithm& algo,
+                         const Deferred& deferred, Int cap = kNoCap) const;
 
  private:
   struct Fusion;
 
-  MappingSolution solve(const model::UniformDependenceAlgorithm& algo,
-                        const MatI& space, Fusion* fusion, Int cap) const;
+  /// nullopt only when `may_defer` and another thread holds the orbit's
+  /// scan; `orbit_key`, when given, caches the schedule-orbit key of S
+  /// across the deferral.
+  std::optional<MappingSolution> solve(
+      const model::UniformDependenceAlgorithm& algo, const MatI& space,
+      Fusion* fusion, Int cap, std::optional<mapping::ConflictKey>* orbit_key,
+      bool may_defer) const;
 
   PipelineOptions options_;
   std::unique_ptr<Fusion> fusion_;

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "exact/checked.hpp"
 #include "exact/contracts.hpp"
@@ -24,7 +25,16 @@ namespace sysmap::search {
 namespace {
 
 constexpr Int kNoIncumbent = std::numeric_limits<Int>::max();
-constexpr std::size_t kChunk = 16;
+/// Candidates per feed draw: about kChunksPerWorker draws per worker, so a
+/// 40-space sweep still reaches every worker, and at most kMaxChunk.  A
+/// sweep of at most kInlineSweep candidates is one chunk, and so runs
+/// inline: thread start-up would cost more than its spaces.
+constexpr std::uint64_t kMaxChunk = 16;
+constexpr std::uint64_t kChunksPerWorker = 8;
+constexpr std::uint64_t kInlineSweep = 4;
+/// Spaces a worker may hold back while their schedule orbit is scanned
+/// elsewhere; past this it finishes them, waiting for the scans.
+constexpr std::size_t kMaxDeferred = 64;
 /// Below this many index points the kernel-lattice injectivity test costs
 /// more than the packed walk it would replace.
 constexpr std::uint64_t kInjectivityMinPoints = 4096;
@@ -328,6 +338,12 @@ class SpaceFeed {
     return out.len > 0;
   }
 
+  /// Upper bound on the candidates the feed hands out.
+  std::uint64_t max_candidates() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return enumerator_.max_candidates();
+  }
+
   /// Total candidates handed out; call only after the sweep has joined.
   std::uint64_t produced() {
     std::lock_guard<std::mutex> lock(mu_);
@@ -418,21 +434,34 @@ std::unique_ptr<MappingPipeline> fused_pipeline() {
   return pipeline;
 }
 
-// Scores one candidate space; nullopt when the pipeline rejects it as
+// Runs one scoring call; nullopt when the pipeline rejects the space as
 // degenerate.  A ContractViolation is a library bug, not a degenerate
 // candidate, so it propagates.
-std::optional<MappingSolution> score_space(
-    const MappingPipeline& pipeline,
-    const model::UniformDependenceAlgorithm& algo, const MatI& space,
-    Int cap) {
+template <typename Score>
+auto unless_degenerate(const Score& score)
+    -> std::optional<decltype(score())> {
   try {
-    return pipeline.score(algo, space, cap);
+    return score();
   } catch (const exact::ContractViolation&) {
     throw;
   } catch (const std::exception&) {
     return std::nullopt;
   }
 }
+
+// How a Problem 6.2 sweep scores its spaces: one fused pipeline and, for
+// the joint query, the best objective found so far as an inclusive cap.
+// A sweep without a pipeline (Problem 6.1) scores nothing.
+struct Scoring {
+  const MappingPipeline* pipeline = nullptr;
+  const std::atomic<Int>* incumbent = nullptr;
+
+  Int cap() const {
+    if (incumbent == nullptr) return MappingPipeline::kNoCap;
+    const Int best = incumbent->load(std::memory_order_relaxed);
+    return best == kNoIncumbent ? MappingPipeline::kNoCap : best;
+  }
+};
 
 // One sweep's per-worker states plus the candidates the feed handed out.
 template <typename State>
@@ -443,14 +472,20 @@ struct Sweep {
 
 // The one Problem 6.1/6.2 driver: a shared lazy SpaceFeed, one shared
 // orbit-count cache, one ProcessorCounter and State per worker, run
-// inline for num_threads <= 1 and on a support::ThreadPool otherwise.
-// `visit(state, counter, space, pos)` sees every candidate exactly once;
-// `pos` is its index in the serial visit order, which is what the
-// callers' reductions use to reproduce the serial result.
+// inline when the sweep is one chunk or num_threads <= 1, and on a
+// support::ThreadPool of at most one worker per chunk otherwise.
+// `visit(state, counter, space, pos, solution)` sees every candidate
+// exactly once; `pos` is its index in the serial visit order, which is
+// what the callers' reductions use to reproduce the serial result, and
+// `solution` is its score (nullopt for a degenerate space, or when the
+// sweep scores nothing).  A space whose schedule orbit another worker is
+// scanning is deferred (MappingPipeline::try_score) and visited, as an
+// orbit hit, once the feed runs dry -- so every orbit is scanned once
+// and no worker idles behind another's scan.
 template <typename State, typename Visit>
 Sweep<State> run_sweep(const model::UniformDependenceAlgorithm& algo,
                        const SpaceSearchOptions& options,
-                       const Visit& visit) {
+                       const Scoring& scoring, const Visit& visit) {
   const model::IndexSet& set = algo.index_set();
   std::uint64_t points = 0;
   bool points_known = true;
@@ -462,17 +497,56 @@ Sweep<State> run_sweep(const model::UniformDependenceAlgorithm& algo,
   ImageCountCache counts;
   const mapping::SpaceOrbitCanonicalizer orbit(set);
   SpaceFeed feed(algo.dimension(), options);
+  const std::uint64_t most = std::max<std::uint64_t>(feed.max_candidates(), 1);
+  const std::uint64_t threads =
+      std::max<std::uint64_t>(options.num_threads, 1);
+  const std::uint64_t chunk =
+      most <= kInlineSweep
+          ? most
+          : std::clamp<std::uint64_t>(most / (kChunksPerWorker * threads), 1,
+                                      kMaxChunk);
   Sweep<State> sweep;
-  sweep.workers.resize(std::max<std::size_t>(options.num_threads, 1));
+  sweep.workers.resize(
+      static_cast<std::size_t>(std::min(threads, (most - 1) / chunk + 1)));
 
   auto body = [&](std::size_t w) {
+    State& state = sweep.workers[w];
     ProcessorCounter counter(set, points, points_known, counts, orbit);
-    SpaceChunk chunk;
-    while (feed.draw(kChunk, chunk)) {
-      for (std::size_t i = 0; i < chunk.len; ++i) {
-        visit(sweep.workers[w], counter, chunk.spaces[i], chunk.base + i);
+    std::vector<std::pair<std::uint64_t, MappingPipeline::Deferred>> later;
+    auto finish_deferred = [&] {
+      for (auto& [pos, deferred] : later) {
+        visit(state, counter, deferred.space, pos, unless_degenerate([&] {
+                return scoring.pipeline->resume(algo, deferred,
+                                                scoring.cap());
+              }));
+      }
+      later.clear();
+    };
+    SpaceChunk draw;
+    while (feed.draw(static_cast<std::size_t>(chunk), draw)) {
+      for (std::size_t i = 0; i < draw.len; ++i) {
+        const MatI& space = draw.spaces[i];
+        const std::uint64_t pos = draw.base + i;
+        if (scoring.pipeline == nullptr) {
+          visit(state, counter, space, pos, std::nullopt);
+          continue;
+        }
+        auto scored = unless_degenerate([&] {
+          return scoring.pipeline->try_score(algo, space, scoring.cap());
+        });
+        if (!scored) {
+          visit(state, counter, space, pos, std::nullopt);
+        } else if (auto* deferred =
+                       std::get_if<MappingPipeline::Deferred>(&*scored)) {
+          later.emplace_back(pos, std::move(*deferred));
+          if (later.size() >= kMaxDeferred) finish_deferred();
+        } else {
+          visit(state, counter, space, pos,
+                std::get<MappingSolution>(std::move(*scored)));
+        }
       }
     }
+    finish_deferred();
   };
   if (sweep.workers.size() == 1) {
     body(0);
@@ -544,6 +618,21 @@ bool SpaceEnumerator::next(MatI& out) {
   }
 }
 
+std::uint64_t SpaceEnumerator::max_candidates() const {
+  // C(pool, dims), saturating; each step's product is exact in 128 bits
+  // while the running count stays at or below 2^64.
+  const std::uint64_t pool = rows_.size();
+  if (dims_ > pool) return 0;
+  unsigned __int128 c = 1;
+  for (std::uint64_t i = 0; i < dims_; ++i) {
+    c = c * (pool - i) / (i + 1);
+    if (c > std::numeric_limits<std::uint64_t>::max()) {
+      return std::numeric_limits<std::uint64_t>::max();
+    }
+  }
+  return static_cast<std::uint64_t>(c);
+}
+
 std::vector<MatI> candidate_spaces(std::size_t n,
                                    const SpaceSearchOptions& options) {
   SpaceEnumerator enumerator(n, options);
@@ -608,9 +697,9 @@ SpaceSearchResult space_optimal_mapping(
   std::atomic<Int> best_total{kNoIncumbent};
 
   Sweep<Incumbent> sweep = run_sweep<Incumbent>(
-      algo, options,
+      algo, options, Scoring{},
       [&](Incumbent& local, ProcessorCounter& counter, const MatI& space,
-          std::uint64_t pos) {
+          std::uint64_t pos, std::optional<MappingSolution>) {
         const Int wire = wire_length_sum(space, dependence);
 
         // Branch-and-bound gate 1: wire plus a per-row processor lower
@@ -717,11 +806,9 @@ DesignSpaceResult explore_design_space(
   using Accepted = std::vector<std::pair<std::uint64_t, DesignPoint>>;
 
   Sweep<Accepted> sweep = run_sweep<Accepted>(
-      algo, options,
+      algo, options, Scoring{pipeline.get(), nullptr},
       [&](Accepted& accepted, ProcessorCounter& counter, const MatI& space,
-          std::uint64_t pos) {
-        const std::optional<MappingSolution> solution = score_space(
-            *pipeline, algo, space, MappingPipeline::kNoCap);
+          std::uint64_t pos, std::optional<MappingSolution> solution) {
         if (!solution || !solution->found) return;
         DesignPoint point;
         point.space = space;
@@ -810,14 +897,9 @@ JointMappingResult joint_time_optimal_mapping(
   std::atomic<Int> best_objective{kNoIncumbent};
 
   Sweep<Incumbent> sweep = run_sweep<Incumbent>(
-      algo, options,
+      algo, options, Scoring{pipeline.get(), &best_objective},
       [&](Incumbent& local, ProcessorCounter& counter, const MatI& space,
-          std::uint64_t pos) {
-        const Int incumbent = best_objective.load(std::memory_order_relaxed);
-        const Int cap =
-            incumbent == kNoIncumbent ? MappingPipeline::kNoCap : incumbent;
-        std::optional<MappingSolution> solution =
-            score_space(*pipeline, algo, space, cap);
+          std::uint64_t pos, std::optional<MappingSolution> solution) {
         if (!solution || !solution->found) return;
         atomic_fetch_min(best_objective, solution->objective);
         Incumbent candidate(pos, space, counter.cost(space, dependence));

@@ -23,6 +23,11 @@
 // injectivity shortcut via the kernel lattice, orbit-canonical processor
 // count reuse (mapping::SpaceOrbitCanonicalizer), wire-first
 // branch-and-bound pruning and an optional deterministic parallel sweep.
+// The parallel sweep hands out chunks small enough that a 40-space sweep
+// reaches four workers, runs sweeps of at most four spaces inline, and
+// scans each schedule orbit once: a worker that meets an orbit another
+// worker is scanning defers that space and scores it, as an orbit hit,
+// once the feed runs dry (MappingPipeline::try_score / resume).
 // The *_seed functions preserve the original serial std::set engines
 // verbatim.  Each pair is BIT-IDENTICAL in (found, space, cost, verdict,
 // candidates_tested), respectively (pareto, spaces_tested,
@@ -52,8 +57,9 @@ struct SpaceSearchOptions {
   std::uint64_t enumeration_budget = 2'000'000;
 
   /// Workers for the candidate sweep; <= 1 runs the sweep inline on the
-  /// caller thread.  Results are bit-identical for every thread count:
-  /// the parallel reduction reproduces the serial incumbent order.
+  /// caller thread, and a sweep never starts more workers than it has
+  /// chunks of candidates.  Results are bit-identical for every thread
+  /// count: the parallel reduction reproduces the serial incumbent order.
   std::size_t num_threads = 1;
 };
 
@@ -201,6 +207,9 @@ class SpaceEnumerator {
   /// Candidates produced so far (rank-passing only, matching the serial
   /// sweep's candidate count).
   std::uint64_t produced() const { return produced_; }
+  /// C(pool, array_dims), saturating at UINT64_MAX: an upper bound on the
+  /// candidates, before the rank filter.
+  std::uint64_t max_candidates() const;
   /// Size of the materialized row pool (the only O(pool) allocation).
   std::size_t pool_size() const { return rows_.size(); }
 

@@ -1,5 +1,6 @@
 // The exact processor-image counter |{S j : j in J}| and the flat
-// open-addressing set it walks into.  Every processor count in the library
+// open-addressing set it walks into, plus the largest-fiber count the
+// same walk gives with a counter map.  Every processor count in the library
 // comes from here: the Problem 6.1/6.2 space sweeps and the dedicated
 // arrays of Definition 2.2, whose PEs are exactly the distinct images S j.
 // The walk packs images with ImagePacking (support/packed_coord.hpp).  The
@@ -13,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "support/packed_coord.hpp"
@@ -93,6 +95,15 @@ Int count_images(const model::IndexSet& set, const MatI& space,
 
 /// Exact |{S j : j in J}| with a private table.
 Int count_images(const model::IndexSet& set, const MatI& space);
+
+/// The largest fiber F(S) = max_p |{j in J : S j = p}|: the packed walk of
+/// count_images with a FlatCounterMap of per-image multiplicities in place
+/// of the set.  nullopt when the image box does not pack into uint64 or
+/// |J| does not fit the map's 32-bit counts.  A conflict-free [S; Pi] is
+/// injective on J, so every schedule of S has objective >= F(S) - 1 (the
+/// pipeline's pigeonhole start level, search/pipeline.hpp).
+std::optional<Int> largest_fiber(const model::IndexSet& set,
+                                 const MatI& space);
 
 /// The std::set-of-image-vectors count, for image boxes that do not pack
 /// into uint64.  Same contract as count_images.

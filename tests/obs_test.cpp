@@ -280,7 +280,8 @@ TEST(ObsTest, FixedSpaceScreenCountersAndSweepStatistics) {
   EXPECT_GT(find_metric(all, "search.fixed_space.raw_rejects").total, 0u);
   EXPECT_GT(find_metric(all, "search.fixed_space.ladder_verdicts").total, 0u);
   // The serial unit_cube(5,2) two-row sweep: the screen and the orbit
-  // canonicalizers change neither the orbit hits nor the leaves walked.
+  // canonicalizers change neither the orbit hits nor the leaves walked;
+  // the pigeonhole start level skips the leaves below each orbit's bound.
   options.array_dims = 2;
   obs::reset();
   search::explore_design_space(model::unit_cube_algorithm(5, 2), options);
@@ -288,7 +289,36 @@ TEST(ObsTest, FixedSpaceScreenCountersAndSweepStatistics) {
   EXPECT_EQ(find_metric(all, "search.pipeline.orbit_hits").total, 7085u);
   EXPECT_EQ(find_metric(all, "search.space.orbit_hits").total, 7085u);
   EXPECT_EQ(find_metric(all, "search.procedure51.leaves_visited").total,
-            412500u);
+            382622u);
+}
+
+TEST(ObsTest, ParallelSweepScansEachOrbitOnce) {
+  if (!obs::kEnabled) GTEST_SKIP() << "SYSMAP_OBS=OFF build";
+  // Concurrent misses on one schedule orbit defer instead of scanning it
+  // again, so four workers miss exactly the serial sweep's orbits.
+  struct Case {
+    model::UniformDependenceAlgorithm algo;
+    std::size_t dims;
+    std::uint64_t misses;
+  };
+  const std::vector<Case> cases = {
+      {model::unit_cube_algorithm(5, 2), 2, 175},
+      {model::unit_cube_algorithm(4, 3), 1, 8},
+      {model::convolution_2d(3, 3, 2, 2), 1, 24},
+  };
+  for (const Case& c : cases) {
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      search::SpaceSearchOptions options;
+      options.array_dims = c.dims;
+      options.num_threads = threads;
+      obs::reset();
+      search::explore_design_space(c.algo, options);
+      const std::vector<obs::Metric> all = obs::snapshot();
+      EXPECT_EQ(find_metric(all, "search.pipeline.orbit_misses").total,
+                c.misses)
+          << c.algo.name() << " at " << threads << " threads";
+    }
+  }
 }
 
 TEST(ObsTest, SimulateRecordsOneSpanPerPass) {

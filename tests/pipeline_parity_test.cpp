@@ -12,9 +12,12 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/mapper.hpp"
+#include "mapping/canonical_key.hpp"
 #include "model/gallery.hpp"
 #include "obs/obs.hpp"
 #include "search/pipeline.hpp"
@@ -36,11 +39,16 @@ std::uint64_t counter_total(const std::string& name) {
   return 0;
 }
 
-// Every non-advisory MappingSolution field.  `truncated_by_cap` is
-// advisory by contract and deliberately not compared.
+// Every non-advisory MappingSolution field: operator== over the whole
+// struct, then field by field so a failure names the field.
+// `truncated_by_cap` is advisory by contract and deliberately not
+// compared.
 void expect_same_solution(const MappingSolution& cold,
                           const MappingSolution& fused,
                           const std::string& label) {
+  MappingSolution contract = fused;
+  contract.truncated_by_cap = cold.truncated_by_cap;
+  EXPECT_TRUE(cold == contract) << label;
   EXPECT_EQ(cold.found, fused.found) << label;
   EXPECT_EQ(cold.candidates_tested, fused.candidates_tested) << label;
   EXPECT_EQ(cold.ilp_nodes, fused.ilp_nodes) << label;
@@ -128,6 +136,80 @@ TEST(PipelineParity, ScoreMatchesColdUnitCube) {
   // n = 4, dims = 1: k + 1 < n keeps ILP out; the equal-mu cube has the
   // richest schedule-orbit structure (full symmetric column group).
   run_score_parity(model::unit_cube_algorithm(4, 2), 1, 1);
+}
+
+// resume() reuses the orbit key the deferral carried: with the key the
+// canonicalizer gives, every space resumes to its cold result.
+TEST(PipelineParity, ResumeMatchesCold) {
+  const model::UniformDependenceAlgorithm algo =
+      model::unit_cube_algorithm(4, 2);
+  SpaceSearchOptions pool_options;
+  const std::vector<MatI> spaces = candidate_spaces(4, pool_options);
+  const mapping::SpaceOrbitCanonicalizer orbit(algo.index_set(),
+                                               algo.dependence_matrix());
+  PipelineOptions options;
+  options.design_array = false;
+  const MappingPipeline cold(options);
+  MappingPipeline fused(options);
+  fused.enable_fusion({});
+  for (std::size_t i = 0; i < spaces.size(); ++i) {
+    const MappingPipeline::Deferred deferred{spaces[i],
+                                             orbit.key(spaces[i])};
+    expect_same_solution(cold.find_time_optimal(algo, spaces[i]),
+                         fused.resume(algo, deferred),
+                         "space" + std::to_string(i));
+  }
+}
+
+// Four threads score one pool through one fused pipeline, each in its own
+// order, deferring the spaces whose orbit another thread is scanning and
+// resuming them at the end: every result equals the cold one.
+TEST(PipelineParity, ConcurrentTryScoreMatchesCold) {
+  const model::UniformDependenceAlgorithm algo =
+      model::unit_cube_algorithm(4, 2);
+  SpaceSearchOptions pool_options;
+  const std::vector<MatI> spaces = candidate_spaces(4, pool_options);
+  PipelineOptions options;
+  options.design_array = false;
+  const MappingPipeline cold(options);
+  std::vector<MappingSolution> expected;
+  for (const MatI& space : spaces) {
+    expected.push_back(cold.find_time_optimal(algo, space));
+  }
+  MappingPipeline fused(options);
+  fused.enable_fusion({});
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<MappingSolution>> got(
+      kThreads, std::vector<MappingSolution>(spaces.size()));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::pair<std::size_t, MappingPipeline::Deferred>> later;
+      for (std::size_t step = 0; step < spaces.size(); ++step) {
+        // Odd threads walk the pool backwards; each starts a quarter on.
+        const std::size_t n = spaces.size();
+        const std::size_t i =
+            (t * n / kThreads + (t % 2 == 0 ? step : n - 1 - step)) % n;
+        auto scored = fused.try_score(algo, spaces[i]);
+        if (auto* deferred = std::get_if<MappingPipeline::Deferred>(&scored)) {
+          later.emplace_back(i, std::move(*deferred));
+        } else {
+          got[t][i] = std::get<MappingSolution>(std::move(scored));
+        }
+      }
+      for (const auto& [i, deferred] : later) {
+        got[t][i] = fused.resume(algo, deferred);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < spaces.size(); ++i) {
+      expect_same_solution(expected[i], got[t][i],
+                           "thread" + std::to_string(t) + "/space" +
+                               std::to_string(i));
+    }
+  }
 }
 
 TEST(PipelineParity, MapperFacadeDelegatesToPipeline) {
