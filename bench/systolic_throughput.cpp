@@ -2,10 +2,9 @@
 //
 // Runs the full systolic simulation (conflict, link-collision and buffer
 // passes) for each gallery design at a mu large enough that the seed's
-// tree-map bookkeeping dominates, across three modes:
-//   seed      the original sort-and-map implementation, verbatim
-//   flat      the flat-indexed, time-bucketed engine on one thread
-//   parallel  the same engine fanned over the thread pool
+// tree-map bookkeeping dominates, in two modes:
+//   seed  the original sort-and-map implementation, verbatim
+//   flat  the flat-indexed, time-bucketed engine
 // The engine is bit-identical to the seed by construction (every report
 // field, the stored event lists in order, buffer high-water marks) -- this
 // harness asserts that before reporting any number and exits non-zero on
@@ -15,8 +14,8 @@
 // case/mode with the median time of its reps and their range, plus
 // per-case speedup summaries) written to
 // $SYSMAP_BENCH_JSON or BENCH_sim.json.  Set SYSMAP_BENCH_SMOKE=1 for a
-// single-rep quick pass over the two cheapest cases (CI smoke); pass
-// --threads N to size the parallel mode (default 4).
+// single-rep quick pass over the two cheapest cases (CI smoke).  Takes no
+// arguments.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -50,33 +49,21 @@ struct Timing {
   SimulationReport report;
 };
 
-enum class Mode { kSeed, kFlat, kParallel };
+enum class Mode { kSeed, kFlat };
 
-const char* mode_name(Mode m) {
-  switch (m) {
-    case Mode::kSeed:
-      return "seed";
-    case Mode::kFlat:
-      return "flat";
-    case Mode::kParallel:
-      return "parallel";
-  }
-  return "?";
-}
+const char* mode_name(Mode m) { return m == Mode::kSeed ? "seed" : "flat"; }
 
 // Times `reps` runs and reports their median (with the range): a best-of
 // row would favor whichever rep the host happened to leave alone.  Every
 // rep must return the first rep's report.
-Timing run_mode(const Case& c, Mode mode, int reps, std::size_t threads) {
-  SimulationOptions opts;
-  opts.num_threads = mode == Mode::kParallel ? threads : 1;
+Timing run_mode(const Case& c, Mode mode, int reps) {
   Timing out;
   std::vector<double> samples;
   for (int rep = 0; rep < reps; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
     SimulationReport r = mode == Mode::kSeed
                              ? simulate_seed(c.algo, c.design)
-                             : simulate(c.algo, c.design, opts);
+                             : simulate(c.algo, c.design);
     auto t1 = std::chrono::steady_clock::now();
     samples.push_back(
         std::chrono::duration<double, std::milli>(t1 - t0).count());
@@ -97,15 +84,14 @@ Timing run_mode(const Case& c, Mode mode, int reps, std::size_t threads) {
   return out;
 }
 
-void emit_json(std::ostream& json, const Case& c, Mode mode, const Timing& t,
-               std::size_t threads) {
+void emit_json(std::ostream& json, const Case& c, Mode mode,
+               const Timing& t) {
   double pps =
       t.ms > 0 ? 1000.0 * static_cast<double>(t.report.computations) / t.ms
                : 0;
   json << "{\"case\":\"" << c.name << "\""
        << ",\"oracle\":\"sim\""
        << ",\"mode\":\"" << mode_name(mode) << "\""
-       << ",\"threads\":" << (mode == Mode::kParallel ? threads : 1)
        << ",\"ms\":" << t.ms << ",\"ms_min\":" << t.ms_min
        << ",\"ms_max\":" << t.ms_max << ",\"reps\":" << t.reps
        << ",\"points\":" << t.report.computations
@@ -117,19 +103,12 @@ void emit_json(std::ostream& json, const Case& c, Mode mode, const Timing& t,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool smoke = std::getenv("SYSMAP_BENCH_SMOKE") != nullptr;
-  std::size_t threads = 4;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (threads == 0) threads = 1;
-    } else {
-      std::cerr << "usage: systolic_throughput [--threads N]\n";
-      return 2;
-    }
+int main(int argc, char** /*argv*/) {
+  if (argc > 1) {
+    std::cerr << "usage: systolic_throughput\n";
+    return 2;
   }
+  const bool smoke = std::getenv("SYSMAP_BENCH_SMOKE") != nullptr;
   const char* path = std::getenv("SYSMAP_BENCH_JSON");
   std::ofstream json(path ? path : "BENCH_sim.json");
 
@@ -180,10 +159,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::cout << "SYSTOLIC-THROUGHPUT: simulator engines (" << threads
-            << " parallel threads)\n";
-  std::cout << "case                 points   seed_ms   flat_ms   par_ms   "
-               "flat/seed  par/seed\n";
+  std::cout << "SYSTOLIC-THROUGHPUT: simulator engines\n";
+  std::cout << "case                 points   seed_ms   flat_ms   flat/seed\n";
 
   bool all_parity_ok = true;
   for (const Case& c : cases) {
@@ -191,20 +168,17 @@ int main(int argc, char** argv) {
     if (!smoke) {
       // Calibrate on one flat run so the fast modes repeat long enough to
       // time stably; the seed stays at 3 reps (it is the slow mode).
-      Timing probe = run_mode(c, Mode::kFlat, 1, threads);
+      Timing probe = run_mode(c, Mode::kFlat, 1);
       reps = probe.ms >= 50 ? 3 : static_cast<int>(50 / (probe.ms + 0.01)) + 3;
     }
-    Timing seed = run_mode(c, Mode::kSeed, smoke ? 1 : 3, threads);
-    Timing flat = run_mode(c, Mode::kFlat, reps, threads);
-    Timing par = run_mode(c, Mode::kParallel, reps, threads);
-    bool ok = seed.report == flat.report && seed.report == par.report;
-    if (!ok) {
+    Timing seed = run_mode(c, Mode::kSeed, smoke ? 1 : 3);
+    Timing flat = run_mode(c, Mode::kFlat, reps);
+    if (!(seed.report == flat.report)) {
       std::cerr << "PARITY VIOLATION in " << c.name << "\n";
       all_parity_ok = false;
       continue;
     }
     double flat_speedup = flat.ms > 0 ? seed.ms / flat.ms : 0;
-    double par_speedup = par.ms > 0 ? seed.ms / par.ms : 0;
 
     std::ostringstream row;
     row.setf(std::ios::fixed);
@@ -212,17 +186,15 @@ int main(int argc, char** argv) {
     row << c.name;
     for (std::size_t p = c.name.size(); p < 21; ++p) row << ' ';
     row << seed.report.computations << "  " << seed.ms << "  " << flat.ms
-        << "  " << par.ms << "  ";
+        << "  ";
     row.precision(2);
-    row << flat_speedup << "x  " << par_speedup << "x";
+    row << flat_speedup << "x";
     std::cout << row.str() << "\n";
 
-    emit_json(json, c, Mode::kSeed, seed, threads);
-    emit_json(json, c, Mode::kFlat, flat, threads);
-    emit_json(json, c, Mode::kParallel, par, threads);
-    json << "{\"case\":\"" << c.name << "\",\"threads\":" << threads
-         << ",\"flat_vs_seed\":" << flat_speedup
-         << ",\"parallel_vs_seed\":" << par_speedup << "}\n";
+    emit_json(json, c, Mode::kSeed, seed);
+    emit_json(json, c, Mode::kFlat, flat);
+    json << "{\"case\":\"" << c.name << "\""
+         << ",\"flat_vs_seed\":" << flat_speedup << "}\n";
     json.flush();
   }
   json << sysmap::obs::snapshot_json() << "\n";

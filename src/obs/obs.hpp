@@ -24,8 +24,8 @@
 //     thread's increments are uncontended (plain adds on x86), and a
 //     concurrent snapshot() reads them with relaxed loads -- no data
 //     race, no lock on the hot path.  Reads taken after a
-//     ThreadPool::run join observe every worker write (invariant I3 in
-//     support/thread_pool.hpp sequences them).
+//     support::fork_join returns observe every worker write (the thread
+//     joins sequence them).
 //
 // Call sites use the macros (static interning, one registry probe per
 // call site per process) or, for dynamically named metrics such as
@@ -89,7 +89,7 @@ struct Metric {
 
 /// Merged view of every interned metric (live threads + retired ones),
 /// sorted by name.  Zero-valued metrics are included so consumers see
-/// the full catalog.  Values recorded before the last ThreadPool join
+/// the full catalog.  Values recorded before the last fork_join return
 /// (or on the calling thread) are always visible; a thread still
 /// mid-increment contributes whatever it has published so far.
 std::vector<Metric> snapshot();

@@ -16,9 +16,9 @@
 #include "mapping/canonical_key.hpp"
 #include "obs/obs.hpp"
 #include "search/pipeline.hpp"
-#include "support/thread_pool.hpp"
 #include "search/verdict_cache.hpp"
 #include "support/flat_image_set.hpp"
+#include "support/fork_join.hpp"
 
 namespace sysmap::search {
 
@@ -472,8 +472,8 @@ struct Sweep {
 
 // The one Problem 6.1/6.2 driver: a shared lazy SpaceFeed, one shared
 // orbit-count cache, one ProcessorCounter and State per worker, run
-// inline when the sweep is one chunk or num_threads <= 1, and on a
-// support::ThreadPool of at most one worker per chunk otherwise.
+// inline when the sweep is one chunk or num_threads <= 1, and otherwise
+// as one support::fork_join of at most one worker per chunk.
 // `visit(state, counter, space, pos, solution)` sees every candidate
 // exactly once; `pos` is its index in the serial visit order, which is
 // what the callers' reductions use to reproduce the serial result, and
@@ -509,7 +509,7 @@ Sweep<State> run_sweep(const model::UniformDependenceAlgorithm& algo,
   sweep.workers.resize(
       static_cast<std::size_t>(std::min(threads, (most - 1) / chunk + 1)));
 
-  auto body = [&](std::size_t w) {
+  support::fork_join(sweep.workers.size(), [&](std::size_t w) {
     State& state = sweep.workers[w];
     ProcessorCounter counter(set, points, points_known, counts, orbit);
     std::vector<std::pair<std::uint64_t, MappingPipeline::Deferred>> later;
@@ -547,13 +547,7 @@ Sweep<State> run_sweep(const model::UniformDependenceAlgorithm& algo,
       }
     }
     finish_deferred();
-  };
-  if (sweep.workers.size() == 1) {
-    body(0);
-  } else {
-    support::ThreadPool pool(sweep.workers.size());
-    pool.run(body);
-  }
+  });
   sweep.candidates = feed.produced();
   return sweep;
 }

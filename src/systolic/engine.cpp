@@ -32,30 +32,24 @@
 //    model::lexicographic_ordinal recomputation in the seed's value pass
 //    becomes one subtraction.
 //
-//  * DETERMINISTIC PARALLELISM.  The conflict and link passes fan out over
-//    cycle-range chunks and the buffer pass over dependence links on
-//    support::ThreadPool.  Conflicts partition exactly by cycle; wire-cycle
-//    keys partition exactly by cycle too, so every occupancy key is owned
-//    by one worker and the uncapped totals are exact sums.  Stored events
-//    carry their global (position, dep, hop) sequence tag and are merged
-//    in seed emission order, so reports are bit-identical for every thread
-//    count (tests/simulator_parity_test.cpp holds them equal to the seed,
-//    under TSan in CI).
+//  * ONE THREAD, SEED ORDER.  Every pass is one scan in (cycle, lexicographic
+//    j) order on the calling thread, so stored events come out in the
+//    seed's emission order with no merge, and reports are bit-identical to
+//    the seed's (tests/simulator_parity_test.cpp holds them equal).  The
+//    passes stay on one thread because splitting them by cycle range over
+//    workers measured 1.09-1.31x slower on every BENCH_sim.json case.
 #include "systolic/simulator.hpp"
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "exact/bigint.hpp"
 #include "exact/checked.hpp"
 #include "obs/obs.hpp"
-#include "support/thread_pool.hpp"
 #include "support/packed_coord.hpp"
 
 namespace sysmap::systolic {
@@ -331,26 +325,18 @@ struct BufStart {
 // partial sum and increment lands between the BigInt-narrowed extremes
 // t_min/t_max, S j partial sums stay between the checked image bounds,
 // and FlatPlan::build proved j_r + d(r, i) representable)
-void walk_range(const FlatPlan& plan, std::size_t begin, std::size_t end,
-                std::uint64_t* pe_keys, std::uint32_t* cycle_of,
-                std::vector<std::vector<BufStart>>& buf_starts) {
-  if (begin >= end) return;
+void walk(const FlatPlan& plan, std::uint64_t* pe_keys,
+          std::uint32_t* cycle_of,
+          std::vector<std::vector<BufStart>>& buf_starts) {
   const std::size_t n = plan.n;
-  const std::size_t rows = plan.space.rows();
+  const auto points = static_cast<std::size_t>(plan.points);
+  // The walk starts at the origin, where Pi j = 0 and S j = 0.
   VecI j(n, 0);
-  decode_ordinal(plan, begin, j);
   Int t = 0;
-  for (std::size_t r = 0; r < n; ++r) t += plan.pi[r] * j[r];
-  VecI y(rows, 0);
-  for (std::size_t q = 0; q < rows; ++q) {
-    Int acc = 0;
-    for (std::size_t r = 0; r < n; ++r) acc += plan.space(q, r) * j[r];
-    y[q] = acc;
-  }
-  std::uint64_t pe_key = plan.pe.pack(y);
-  for (std::size_t i : plan.buffered) buf_starts[i].reserve(end - begin);
+  std::uint64_t pe_key = plan.pe.pack(VecI(plan.space.rows(), 0));
+  for (std::size_t i : plan.buffered) buf_starts[i].reserve(points);
 
-  for (std::size_t ord = begin;;) {
+  for (std::size_t ord = 0;;) {
     cycle_of[ord] = static_cast<std::uint32_t>(t - plan.t_min);
     pe_keys[ord] = pe_key;
     // Source-centric buffer accounting: j buffers dependence i exactly
@@ -369,7 +355,7 @@ void walk_range(const FlatPlan& plan, std::size_t begin, std::size_t end,
             {static_cast<std::uint32_t>(t + 1 - plan.t_min), pe_key});
       }
     }
-    if (++ord >= end) break;
+    if (++ord >= points) break;
     std::size_t r = n;
     while (r-- > 0) {
       if (j[r] < plan.mu[r]) {
@@ -470,23 +456,19 @@ class EpochTable {
   std::uint64_t growths_ = 0;
 };
 
-struct ConflictChunk {
-  std::vector<ConflictEvent> events;  ///< first kMaxEvents, in seed order
-  std::uint64_t total = 0;            ///< uncapped duplicate count
-  std::uint64_t probes = 0;           ///< occupancy-table probes (obs only)
-};
-
+/// Computational conflicts: the uncapped duplicate count and the first
+/// kMaxEvents events, in the seed's (cycle, position) order.  Returns the
+/// occupancy-table probe count (always 0 with obs off).
 // SYSMAP_RAW_FASTPATH(bounded: event times are t_min + c with
 // c < cycles = t_max - t_min + 1, so they land back inside the checked
 // schedule range)
-void conflict_chunk(const FlatPlan& plan,
-                    const std::vector<std::uint32_t>& bucket_start,
-                    const std::vector<std::uint32_t>& order,
-                    const std::vector<std::uint64_t>& pe_keys,
-                    std::size_t c_lo, std::size_t c_hi, std::size_t max_bucket,
-                    ConflictChunk& out) {
+std::uint64_t conflict_pass(const FlatPlan& plan,
+                            const std::vector<std::uint32_t>& bucket_start,
+                            const std::vector<std::uint32_t>& order,
+                            const std::vector<std::uint64_t>& pe_keys,
+                            std::size_t max_bucket, SimulationReport& report) {
   EpochTable table(max_bucket);
-  for (std::size_t c = c_lo; c < c_hi; ++c) {
+  for (std::size_t c = 0; c < plan.cycles; ++c) {
     for (std::uint32_t p = bucket_start[c]; p < bucket_start[c + 1]; ++p) {
       const std::uint32_t ord = order[p];
       bool claimed = false;
@@ -495,57 +477,38 @@ void conflict_chunk(const FlatPlan& plan,
       if (claimed) {
         first = p;
       } else {
-        ++out.total;
-        if (out.events.size() < kMaxEvents) {
+        ++report.total_conflicts;
+        if (report.conflicts.size() < kMaxEvents) {
           ConflictEvent ev;
           decode_ordinal(plan, order[first], ev.j1);
           decode_ordinal(plan, ord, ev.j2);
           plan.pe.unpack(pe_keys[ord], ev.pe);
           ev.time = plan.t_min + static_cast<Int>(c);
-          out.events.push_back(std::move(ev));
+          report.conflicts.push_back(std::move(ev));
         }
       }
     }
   }
-  out.probes = table.probes();
+  return table.probes();
 }
 
-/// A stored collision with its global emission tag: the seed reports
-/// collisions in (computation position, dep, hop) order, and each worker's
-/// list is already sorted by that tag, so a tag merge reproduces the seed
-/// order exactly.
-struct TaggedCollision {
-  std::uint64_t pos = 0;
-  std::uint32_t dep = 0;
-  std::uint32_t hop = 0;
-  CollisionEvent ev;
-};
-
-struct CollisionChunk {
-  std::vector<TaggedCollision> events;
-  std::uint64_t total = 0;
-  std::uint64_t growths = 0;  ///< wire-table doublings (obs only)
-};
-
+/// Data-link collisions: the uncapped count and the first kMaxEvents
+/// events, in the seed's (position, dep, hop) order -- the order of this
+/// one scan.  Returns the wire-table doubling count (always 0 with obs
+/// off).
 // SYSMAP_RAW_FASTPATH(bounded: wire cycles are t_min + crel with crel in
 // [-(h_max - 1), cycles), inside the range FlatPlan::build proved with
 // sub_checked(t_min, h_max + 1), and their epochs crel + h_max fit uint32
 // by the same build; packed wire keys stay below the checked radix
 // product and wrap only through pack_delta increments that land back on
 // exact in-box packings)
-void collision_chunk(const FlatPlan& plan,
-                     const std::vector<std::uint32_t>& bucket_start,
-                     const std::vector<std::uint32_t>& order,
-                     const std::vector<std::uint64_t>& pe_keys,
-                     std::size_t c_lo, std::size_t c_hi, std::size_t max_bucket,
-                     CollisionChunk& out) {
-  // A computation in bucket c touches wire cycles [c - h + 1, c], so this
-  // chunk (owning wire cycles [c_lo, c_hi), the first chunk also the
-  // pre-t_min warm-up) scans buckets up to c_hi + h_max - 1.
-  const std::size_t scan_hi =
-      std::min<std::size_t>(static_cast<std::size_t>(plan.cycles),
-                            c_hi + plan.h_max - 1);
-  // While bucket c is scanned only wire cycles [c - h_max + 1, c] are
+std::uint64_t collision_pass(const FlatPlan& plan,
+                             const std::vector<std::uint32_t>& bucket_start,
+                             const std::vector<std::uint32_t>& order,
+                             const std::vector<std::uint64_t>& pe_keys,
+                             std::size_t max_bucket, SimulationReport& report) {
+  // A computation in bucket c touches wire cycles [c - h + 1, c], so
+  // while bucket c is scanned only wire cycles [c - h_max + 1, c] are
   // live, and they fall on distinct residues mod h_max: a ring of h_max
   // epoch tables, wire cycle crel in slot (crel + h_max) mod h_max with
   // epoch crel + h_max, holds each live wire cycle alone.  One bucket puts
@@ -553,9 +516,8 @@ void collision_chunk(const FlatPlan& plan,
   // route is one hop; longer routes make a table grow.
   const std::size_t h_max = plan.h_max;
   std::vector<EpochTable> ring(h_max, EpochTable(max_bucket * plan.routed));
-  const bool own_below = c_lo == 0;
   VecI j;
-  for (std::size_t c = c_lo; c < scan_hi; ++c) {
+  for (std::size_t c = 0; c < plan.cycles; ++c) {
     const std::size_t c_slot = c % h_max;
     for (std::uint32_t p = bucket_start[c]; p < bucket_start[c + 1]; ++p) {
       const std::uint32_t ord = order[p];
@@ -570,29 +532,21 @@ void collision_chunk(const FlatPlan& plan,
         if (slot >= h_max) slot -= h_max;
         std::uint64_t pos_key = pe_keys[ord] - plan.pe_dep_delta[i];
         for (std::size_t hop = 0; hop < route.size(); ++hop) {
-          const bool owned = crel < static_cast<std::int64_t>(c_hi) &&
-                             (crel >= static_cast<std::int64_t>(c_lo) ||
-                              (own_below && crel < 0));
-          if (owned) {
-            const std::size_t prim = route[hop];
-            const std::uint64_t key =
-                (pos_key * plan.num_prims + prim) * plan.m + i;
-            const std::uint32_t epoch = static_cast<std::uint32_t>(
-                crel + static_cast<std::int64_t>(h_max));
-            bool claimed = false;
-            if (++ring[slot].find_or_claim(key, epoch, claimed) == 2) {
-              ++out.total;
-              if (out.events.size() < kMaxEvents) {
-                TaggedCollision tc;
-                tc.pos = p;
-                tc.dep = static_cast<std::uint32_t>(i);
-                tc.hop = static_cast<std::uint32_t>(hop);
-                plan.pe.unpack(pos_key, tc.ev.wire_from);
-                tc.ev.primitive = prim;
-                tc.ev.dep = i;
-                tc.ev.cycle = plan.t_min + static_cast<Int>(crel);
-                out.events.push_back(std::move(tc));
-              }
+          const std::size_t prim = route[hop];
+          const std::uint64_t key =
+              (pos_key * plan.num_prims + prim) * plan.m + i;
+          const std::uint32_t epoch = static_cast<std::uint32_t>(
+              crel + static_cast<std::int64_t>(h_max));
+          bool claimed = false;
+          if (++ring[slot].find_or_claim(key, epoch, claimed) == 2) {
+            ++report.total_collisions;
+            if (report.collisions.size() < kMaxEvents) {
+              CollisionEvent ev;
+              plan.pe.unpack(pos_key, ev.wire_from);
+              ev.primitive = prim;
+              ev.dep = i;
+              ev.cycle = plan.t_min + static_cast<Int>(crel);
+              report.collisions.push_back(std::move(ev));
             }
           }
           pos_key += plan.prim_delta[route[hop]];
@@ -602,7 +556,9 @@ void collision_chunk(const FlatPlan& plan,
       }
     }
   }
-  for (const EpochTable& table : ring) out.growths += table.growths();
+  std::uint64_t growths = 0;
+  for (const EpochTable& table : ring) growths += table.growths();
+  return growths;
 }
 
 /// Buffer high-water mark for one dependence link: counting-sort the
@@ -684,8 +640,7 @@ void value_pass(const FlatPlan& plan, const model::SemanticAlgorithm& sem,
 }
 
 SimulationReport run_flat(const FlatPlan& plan, const ArrayDesign& design,
-                          const model::SemanticAlgorithm* semantic,
-                          const SimulationOptions& options) {
+                          const model::SemanticAlgorithm* semantic) {
   SimulationReport report;
   SYSMAP_GAUGE("systolic.points", plan.points);
   SYSMAP_GAUGE("systolic.cycles", plan.cycles);
@@ -696,21 +651,8 @@ SimulationReport run_flat(const FlatPlan& plan, const ArrayDesign& design,
   report.last_cycle = plan.t_max;
   report.makespan = static_cast<Int>(plan.cycles);
 
-  const std::size_t workers = std::max<std::size_t>(1, options.num_threads);
-  std::optional<support::ThreadPool> pool;
-  if (workers > 1) pool.emplace(workers);
-  // ThreadPool::run's join (invariant I3) fences the workers' writes into
-  // the caller-owned per-worker slots below.
-  const auto run_workers = [&](const std::function<void(std::size_t)>& job) {
-    if (pool) {
-      pool->run(job);
-    } else {
-      for (std::size_t w = 0; w < workers; ++w) job(w);
-    }
-  };
-
   std::vector<std::uint64_t> pe_keys(N);
-  std::vector<std::vector<std::vector<BufStart>>> buf_streams(workers);
+  std::vector<std::vector<BufStart>> buf_starts(plan.m);
   std::vector<std::uint32_t> bucket_start(plan.cycles + 1, 0);
   std::uint32_t max_bucket = 0;
   std::vector<std::uint32_t> order(N);
@@ -718,11 +660,7 @@ SimulationReport run_flat(const FlatPlan& plan, const ArrayDesign& design,
     SYSMAP_SPAN("systolic.simulate.walk");
     // -- pass 1: odometer walk -> packed PE keys, cycles, buffer starts --
     std::vector<std::uint32_t> cycle_of(N);
-    run_workers([&](std::size_t w) {
-      buf_streams[w].assign(plan.m, {});
-      walk_range(plan, N * w / workers, N * (w + 1) / workers,
-                 pe_keys.data(), cycle_of.data(), buf_streams[w]);
-    });
+    walk(plan, pe_keys.data(), cycle_of.data(), buf_starts);
 
     // -- time-major bucketing: counting sort by cycle, stable in ordinal -
     // (= lexicographic j) order, reproducing the seed's (time, j) sort.
@@ -741,100 +679,29 @@ SimulationReport run_flat(const FlatPlan& plan, const ArrayDesign& design,
     }
   }
 
-  // -- cycle chunks balanced by computation count ------------------------
-  const std::size_t nchunks =
-      std::min<std::size_t>(workers, static_cast<std::size_t>(plan.cycles));
-  std::vector<std::size_t> cuts(nchunks + 1, 0);
-  {
-    std::size_t c = 0;
-    for (std::size_t w = 1; w < nchunks; ++w) {
-      const std::uint64_t target = plan.points * w / nchunks;
-      while (c < plan.cycles && bucket_start[c] < target) ++c;
-      cuts[w] = c;
-    }
-    cuts[nchunks] = static_cast<std::size_t>(plan.cycles);
-  }
-
   // -- computational conflicts ------------------------------------------
-  // (pe, cycle) keys partition exactly by cycle chunk: totals are exact
-  // sums and per-chunk event lists concatenate in global (cycle, position)
-  // order -- the seed's emission order.
   {
     SYSMAP_SPAN("systolic.simulate.conflicts");
-    std::vector<ConflictChunk> chunks(nchunks);
-    run_workers([&](std::size_t w) {
-      if (w >= nchunks) return;
-      conflict_chunk(plan, bucket_start, order, pe_keys, cuts[w], cuts[w + 1],
-                     max_bucket, chunks[w]);
-    });
-    std::uint64_t probes = 0;
-    for (const ConflictChunk& ch : chunks) {
-      report.total_conflicts += ch.total;
-      probes += ch.probes;
-      for (const ConflictEvent& ev : ch.events) {
-        if (report.conflicts.size() < kMaxEvents) {
-          report.conflicts.push_back(ev);
-        }
-      }
-    }
+    const std::uint64_t probes =
+        conflict_pass(plan, bucket_start, order, pe_keys, max_bucket, report);
     SYSMAP_COUNT("systolic.conflict_probes", probes);
   }
 
   // -- data-link collisions ---------------------------------------------
   if (plan.h_max > 0) {
     SYSMAP_SPAN("systolic.simulate.collisions");
-    std::vector<CollisionChunk> chunks(nchunks);
-    run_workers([&](std::size_t w) {
-      if (w >= nchunks) return;
-      collision_chunk(plan, bucket_start, order, pe_keys, cuts[w],
-                      cuts[w + 1], max_bucket, chunks[w]);
-    });
-    std::vector<TaggedCollision> all;
-    std::uint64_t growths = 0;
-    for (CollisionChunk& ch : chunks) {
-      report.total_collisions += ch.total;
-      growths += ch.growths;
-      for (TaggedCollision& tc : ch.events) all.push_back(std::move(tc));
-    }
+    const std::uint64_t growths =
+        collision_pass(plan, bucket_start, order, pe_keys, max_bucket, report);
     SYSMAP_COUNT("systolic.wire_table_growths", growths);
-    std::sort(all.begin(), all.end(),
-              [](const TaggedCollision& a, const TaggedCollision& b) {
-                return std::tie(a.pos, a.dep, a.hop) <
-                       std::tie(b.pos, b.dep, b.hop);
-              });
-    for (TaggedCollision& tc : all) {
-      if (report.collisions.size() < kMaxEvents) {
-        report.collisions.push_back(std::move(tc.ev));
-      }
-    }
   }
 
   // -- buffer occupancy --------------------------------------------------
   report.buffer_high_water.assign(plan.m, 0);
   if (!plan.buffered.empty()) {
     SYSMAP_SPAN("systolic.simulate.buffers");
-    // Worker 0's stream of each dependence collects the later workers'
-    // streams, which keeps the walk's ordinal order.
-    std::vector<std::vector<BufStart>>& dep_streams = buf_streams[0];
     for (std::size_t i : plan.buffered) {
-      std::size_t total = 0;
-      for (std::size_t w = 0; w < workers; ++w) {
-        total += buf_streams[w][i].size();
-      }
-      dep_streams[i].reserve(total);
-      for (std::size_t w = 1; w < workers; ++w) {
-        dep_streams[i].insert(dep_streams[i].end(), buf_streams[w][i].begin(),
-                              buf_streams[w][i].end());
-        buf_streams[w][i] = {};
-      }
+      report.buffer_high_water[i] = buffer_high_water(plan, i, buf_starts[i]);
     }
-    run_workers([&](std::size_t w) {
-      for (std::size_t bi = w; bi < plan.buffered.size(); bi += workers) {
-        const std::size_t i = plan.buffered[bi];
-        report.buffer_high_water[i] =
-            buffer_high_water(plan, i, dep_streams[i]);
-      }
-    });
   }
 
   // -- value-level execution --------------------------------------------
@@ -853,12 +720,11 @@ SimulationReport run_flat(const FlatPlan& plan, const ArrayDesign& design,
 
 SimulationReport simulate_engine(const model::UniformDependenceAlgorithm& algo,
                                  const ArrayDesign& design,
-                                 const model::SemanticAlgorithm* semantic,
-                                 const SimulationOptions& options) {
+                                 const model::SemanticAlgorithm* semantic) {
   SYSMAP_SPAN("systolic.simulate");
   if (std::optional<FlatPlan> plan = FlatPlan::build(algo, design)) {
     SYSMAP_COUNT("systolic.flat_runs", 1);
-    return run_flat(*plan, design, semantic, options);
+    return run_flat(*plan, design, semantic);
   }
   SYSMAP_COUNT("systolic.seed_fallbacks", 1);
   return simulate_seed_impl(algo, design, semantic);

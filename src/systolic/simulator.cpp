@@ -207,25 +207,12 @@ std::string SimulationReport::summary() const {
 
 SimulationReport simulate(const model::UniformDependenceAlgorithm& algo,
                           const ArrayDesign& design) {
-  return detail::simulate_engine(algo, design, nullptr, SimulationOptions{});
-}
-
-SimulationReport simulate(const model::UniformDependenceAlgorithm& algo,
-                          const ArrayDesign& design,
-                          const SimulationOptions& options) {
-  return detail::simulate_engine(algo, design, nullptr, options);
+  return detail::simulate_engine(algo, design, nullptr);
 }
 
 SimulationReport simulate(const model::SemanticAlgorithm& algo,
                           const ArrayDesign& design) {
-  return detail::simulate_engine(algo.structure, design, &algo,
-                                 SimulationOptions{});
-}
-
-SimulationReport simulate(const model::SemanticAlgorithm& algo,
-                          const ArrayDesign& design,
-                          const SimulationOptions& options) {
-  return detail::simulate_engine(algo.structure, design, &algo, options);
+  return detail::simulate_engine(algo.structure, design, &algo);
 }
 
 SimulationReport simulate_seed(const model::UniformDependenceAlgorithm& algo,

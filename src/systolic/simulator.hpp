@@ -24,12 +24,12 @@
 // comparator sort), flat mixed-radix uint64 packing of PE and wire
 // coordinates (support/packed_coord.hpp) with open-addressing occupancy
 // tables, O(1) amortized lexicographic ordinals along the index-set
-// odometer walk, and optionally parallel conflict/link/buffer passes with
-// a deterministic (cycle, lexicographic j) merge.  simulate_seed()
-// preserves the original map-and-sort implementation; the two produce
-// BIT-IDENTICAL SimulationReports (all fields, event order, buffer
-// high-water marks, value check) for every design and thread count --
-// tests/simulator_parity_test.cpp holds the pair equal case by case.
+// odometer walk, and one-thread conflict/link/buffer scans in the seed's
+// (cycle, lexicographic j) order.  simulate_seed() preserves the original
+// map-and-sort implementation; the two produce BIT-IDENTICAL
+// SimulationReports (all fields, event order, buffer high-water marks,
+// value check) for every design -- tests/simulator_parity_test.cpp holds
+// the pair equal case by case.
 // When a coordinate box does not pack into uint64 (or the index set or
 // cycle range leaves the flat regime), the engine transparently falls
 // back to the seed path, so simulate() never changes meaning; the parity
@@ -110,27 +110,13 @@ struct SimulationReport {
                          const SimulationReport&) = default;
 };
 
-/// Tuning knobs for the high-throughput engine.  Every setting is
-/// result-invariant: reports are bit-identical across all values.
-struct SimulationOptions {
-  /// Workers for the conflict/link/buffer passes (support::ThreadPool).
-  /// 1 keeps everything on the calling thread.
-  std::size_t num_threads = 1;
-};
-
 /// Structural simulation (no values).
 SimulationReport simulate(const model::UniformDependenceAlgorithm& algo,
                           const ArrayDesign& design);
-SimulationReport simulate(const model::UniformDependenceAlgorithm& algo,
-                          const ArrayDesign& design,
-                          const SimulationOptions& options);
 
 /// Value-level simulation + verification against evaluate_reference.
 SimulationReport simulate(const model::SemanticAlgorithm& algo,
                           const ArrayDesign& design);
-SimulationReport simulate(const model::SemanticAlgorithm& algo,
-                          const ArrayDesign& design,
-                          const SimulationOptions& options);
 
 /// The original sort-and-map implementation, preserved verbatim as the
 /// parity oracle for the engine above (the *_seed pattern of the search
@@ -149,8 +135,7 @@ SimulationReport simulate_seed_impl(
 /// The flat engine proper; lives in systolic/engine.cpp.
 SimulationReport simulate_engine(const model::UniformDependenceAlgorithm& algo,
                                  const ArrayDesign& design,
-                                 const model::SemanticAlgorithm* semantic,
-                                 const SimulationOptions& options);
+                                 const model::SemanticAlgorithm* semantic);
 }  // namespace detail
 
 }  // namespace sysmap::systolic

@@ -2,14 +2,16 @@
 //
 // Exercises every sanctioned way around the nondeterminism rules: an
 // annotated commutative reduction over an unordered container, an atomic
-// accumulator in a ThreadPool callback, per-worker slot writes, a local
-// accumulator declared inside the callback, and a comparator over a
-// stable key.  Never compiled.
+// accumulator in a fork-join callback (pool.run and support::fork_join
+// forms), per-worker slot writes, a local accumulator declared inside the
+// callback, and a comparator over a stable key.  Never compiled.
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <unordered_set>
 #include <vector>
+
+#include "support/fork_join.hpp"
 
 namespace fixture {
 
@@ -37,6 +39,20 @@ unsigned fan_out(Pool& pool, const std::vector<unsigned>& work) {
     for (unsigned v : work) local += v;  // local: declared in the callback
     slots[w] += local;                   // per-worker slot, indexed by w
     hits += 1;                           // atomic accumulator
+  });
+  unsigned total = 0;
+  for (unsigned s : slots) total += s;
+  return total + hits.load();
+}
+
+unsigned fork_join_fan_out(const std::vector<unsigned>& work) {
+  std::atomic<unsigned> hits{0};
+  std::vector<unsigned> slots(4, 0);
+  sysmap::support::fork_join(slots.size(), [&](std::size_t w) {
+    unsigned local = 0;
+    for (std::size_t i = w; i < work.size(); i += 4) local += work[i];
+    slots[w] += local;
+    hits += 1;
   });
   unsigned total = 0;
   for (unsigned s : slots) total += s;

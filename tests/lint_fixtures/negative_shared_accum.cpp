@@ -1,7 +1,7 @@
 // Negative fixture: the determinism pass MUST reject this file.
 //
 // The classic fork-join race: a by-reference captured plain counter bumped
-// from every ThreadPool worker.  Racy, and even made atomic the
+// from every pool worker.  Racy, and even made atomic the
 // accumulation order would still depend on worker interleaving.  Never
 // compiled.
 #include <cstddef>

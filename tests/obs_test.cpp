@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,7 +18,6 @@
 #include "search/procedure51.hpp"
 #include "search/space_optimal.hpp"
 #include "support/flat_image_set.hpp"
-#include "support/thread_pool.hpp"
 #include "systolic/array.hpp"
 #include "systolic/simulator.hpp"
 
@@ -116,12 +116,22 @@ TEST(ObsTest, MergeIsExactAcrossThreads) {
     });
   }
   for (std::thread& w : workers) w.join();
-  // Pool workers stay alive after run(); their cells merge live.
-  support::ThreadPool pool(kThreads);
-  pool.run([id](std::size_t) {
-    for (std::uint64_t i = 0; i < kPerThread; ++i) obs::add(id, 1);
-  });
+  // These threads stay alive until after the snapshot, so their cells
+  // merge live rather than from the retired block.
+  std::latch counted(kThreads);
+  std::latch snapshot_taken(1);
+  std::vector<std::thread> live;
+  for (int t = 0; t < kThreads; ++t) {
+    live.emplace_back([&, id] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) obs::add(id, 1);
+      counted.count_down();
+      snapshot_taken.wait();
+    });
+  }
+  counted.wait();
   const obs::Metric m = find_metric(obs::snapshot(), "obs_test.threads");
+  snapshot_taken.count_down();
+  for (std::thread& w : live) w.join();
   EXPECT_EQ(m.total, 2u * kThreads * kPerThread);
   EXPECT_EQ(m.events, 2u * kThreads * kPerThread);
 }

@@ -1,14 +1,11 @@
 // Seed-vs-engine parity for the systolic simulator.
 //
-// systolic::simulate (the flat, time-bucketed, optionally parallel engine)
-// and systolic::simulate_seed (the original sort-and-map implementation)
-// must produce BIT-IDENTICAL SimulationReports: every scalar field, the
-// stored event lists in order, buffer high-water marks, and the value
-// check.  This suite holds the pair equal case by case across
+// systolic::simulate (the flat, time-bucketed engine) and
+// systolic::simulate_seed (the original sort-and-map implementation) must
+// produce BIT-IDENTICAL SimulationReports: every scalar field, the stored
+// event lists in order, buffer high-water marks, and the value check.
+// This suite holds the pair equal case by case across
 //  - the gallery designs (clean, conflict-rich, multi-hop, 2-D arrays),
-//  - thread counts {1, 2, 7, hardware_concurrency} (also the TSan job's
-//    workload: any cross-thread race in the engine's chunked passes shows
-//    up here),
 //  - the packed flat path and, through a design whose cycle range exceeds
 //    the flat engine's cap, the seed fallback inside simulate(),
 // plus randomized small-case sweeps (dedicated arrays, and multi-hop
@@ -24,7 +21,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -36,13 +32,6 @@
 
 namespace sysmap::systolic {
 namespace {
-
-std::vector<std::size_t> parity_thread_counts() {
-  std::vector<std::size_t> counts{1, 2, 7};
-  const std::size_t hw = std::thread::hardware_concurrency();
-  if (hw > 0) counts.push_back(hw);
-  return counts;
-}
 
 void expect_reports_equal(const SimulationReport& seed,
                           const SimulationReport& fast,
@@ -145,14 +134,8 @@ std::vector<ParityCase> gallery_cases() {
 
 TEST(SimulatorParity, GalleryDesignsAcrossThreadCountsAndPaths) {
   for (const ParityCase& pc : gallery_cases()) {
-    const SimulationReport seed = simulate_seed(pc.algo, pc.design);
-    for (std::size_t threads : parity_thread_counts()) {
-      SimulationOptions options;
-      options.num_threads = threads;
-      const SimulationReport fast = simulate(pc.algo, pc.design, options);
-      expect_reports_equal(seed, fast,
-                           pc.name + " threads=" + std::to_string(threads));
-    }
+    expect_reports_equal(simulate_seed(pc.algo, pc.design),
+                         simulate(pc.algo, pc.design), pc.name);
   }
 }
 
@@ -167,7 +150,7 @@ TEST(SimulatorParity, SeedFallbackBeyondTheFlatCycleCap) {
   // Pi = (1, 1, 2^21) spreads matmul(2)'s 27 points over 4,194,309
   // cycles, past the flat engine's 2^20 cycle cap: FlatPlan::build
   // declines, so simulate() runs its seed fallback, which must agree with
-  // simulate_seed at every thread count.
+  // simulate_seed.
   const model::UniformDependenceAlgorithm algo = model::matmul(2);
   const ArrayDesign design = design_dedicated_array(
       algo, mapping::MappingMatrix(MatI{{1, 1, -1}}, VecI{1, 1, Int{1} << 21}));
@@ -175,16 +158,10 @@ TEST(SimulatorParity, SeedFallbackBeyondTheFlatCycleCap) {
   EXPECT_EQ(seed.makespan, 4194309);
   EXPECT_EQ(seed.total_conflicts, 12u);
   EXPECT_EQ(seed.total_collisions, 18u);
-  for (std::size_t threads : parity_thread_counts()) {
-    SimulationOptions options;
-    options.num_threads = threads;
-    const std::uint64_t before = seed_fallbacks();
-    const SimulationReport fast = simulate(algo, design, options);
-    const std::string label = "threads=" + std::to_string(threads);
-    expect_reports_equal(seed, fast, label);
-    if (obs::kEnabled) {
-      EXPECT_EQ(seed_fallbacks(), before + 1) << label;
-    }
+  const std::uint64_t before = seed_fallbacks();
+  expect_reports_equal(seed, simulate(algo, design), "seed fallback");
+  if (obs::kEnabled) {
+    EXPECT_EQ(seed_fallbacks(), before + 1);
   }
 }
 
@@ -227,13 +204,7 @@ TEST(SimulatorParity, ValueExecutionMatchesSeed) {
     const ArrayDesign design = design_dedicated_array(sc.sem.structure, sc.t);
     const SimulationReport seed = simulate_seed(sc.sem, design);
     EXPECT_TRUE(seed.values_checked);
-    for (std::size_t threads : parity_thread_counts()) {
-      SimulationOptions options;
-      options.num_threads = threads;
-      const SimulationReport fast = simulate(sc.sem, design, options);
-      expect_reports_equal(seed, fast,
-                           sc.name + " threads=" + std::to_string(threads));
-    }
+    expect_reports_equal(seed, simulate(sc.sem, design), sc.name);
   }
 }
 
@@ -252,6 +223,8 @@ TEST(SimulatorParity, EventTotalsKeepCountingPastTheCap) {
   EXPECT_NE(r.summary().find(std::to_string(r.total_conflicts) + " conflicts"),
             std::string::npos);
   EXPECT_NE(r.summary().find("events stored"), std::string::npos);
+  // The 16 stored events are the seed's first 16, in the seed's order.
+  expect_reports_equal(simulate_seed(algo, design), r, "capped events");
 }
 
 // Independent brute-force recount: PE/time conflict duplicates and
@@ -301,8 +274,7 @@ BruteCounts brute_force_counts(const model::UniformDependenceAlgorithm& algo,
   return counts;
 }
 
-// Checks one design against the seed and the brute-force oracle at every
-// parity thread count.
+// Checks one design against the seed and the brute-force oracle.
 void expect_matches_seed_and_oracle(
     const model::UniformDependenceAlgorithm& algo, const ArrayDesign& design,
     const std::string& label) {
@@ -310,15 +282,10 @@ void expect_matches_seed_and_oracle(
   const BruteCounts oracle = brute_force_counts(algo, design);
   EXPECT_EQ(seed.total_conflicts, oracle.conflicts) << label;
   EXPECT_EQ(seed.total_collisions, oracle.collisions) << label;
-  for (std::size_t threads : parity_thread_counts()) {
-    SimulationOptions options;
-    options.num_threads = threads;
-    const SimulationReport fast = simulate(algo, design, options);
-    const std::string sub = label + " threads=" + std::to_string(threads);
-    expect_reports_equal(seed, fast, sub);
-    EXPECT_EQ(fast.total_conflicts, oracle.conflicts) << sub;
-    EXPECT_EQ(fast.total_collisions, oracle.collisions) << sub;
-  }
+  const SimulationReport fast = simulate(algo, design);
+  expect_reports_equal(seed, fast, label);
+  EXPECT_EQ(fast.total_conflicts, oracle.conflicts) << label;
+  EXPECT_EQ(fast.total_collisions, oracle.collisions) << label;
 }
 
 TEST(SimulatorParity, RandomizedSmallCasesAgainstBruteForceOracle) {
@@ -383,7 +350,8 @@ TEST(SimulatorParity, RandomMultiHopRoutesAgainstBruteForceOracle) {
   // Designs routed on a nearest-neighbour line, so a dependence with
   // |S d| >= 2 takes several hops and one computation's datum occupies
   // several wire cycles; the engine then keeps several wire cycles live
-  // at once.  Some of the drawn designs collide.
+  // at once.  Some of the drawn designs collide, and at least one past the
+  // event cap, so the capped collision list is held to the seed's order.
   std::mt19937 rng(20261018);
   std::uniform_int_distribution<int> dim_dist(2, 3);
   std::uniform_int_distribution<Int> mu_dist(1, 3);
@@ -394,6 +362,7 @@ TEST(SimulatorParity, RandomMultiHopRoutesAgainstBruteForceOracle) {
       schedule::Interconnect::nearest_neighbor(1);
   std::size_t accepted = 0;
   std::size_t colliding = 0;
+  std::size_t capped = 0;
   std::size_t attempts = 0;
   while (accepted < 25 && attempts < 20000) {
     ++attempts;
@@ -433,12 +402,15 @@ TEST(SimulatorParity, RandomMultiHopRoutesAgainstBruteForceOracle) {
     ++accepted;
     const std::string label = "multi-hop case " + std::to_string(accepted) +
                               " (attempt " + std::to_string(attempts) + ")";
-    if (simulate_seed(algo, *design).total_collisions > 0) ++colliding;
+    const SimulationReport seed = simulate_seed(algo, *design);
+    if (seed.total_collisions > 0) ++colliding;
+    if (seed.total_collisions > seed.collisions.size()) ++capped;
     expect_matches_seed_and_oracle(algo, *design, label);
   }
   EXPECT_EQ(accepted, 25u) << "multi-hop generator starved after "
                            << attempts << " attempts";
   EXPECT_GT(colliding, 0u);
+  EXPECT_GT(capped, 0u);
 }
 
 TEST(SimulatorParity, WireCyclePopulationBeyondTheInitialTableSize) {

@@ -8,7 +8,7 @@
 //   guards       exactness discipline: raw-arith, narrowing, annotation
 //                grammar, and the interprocedural fallback-guard check
 //   determinism  order-sensitivity: unordered iteration, shared
-//                accumulators in ThreadPool callbacks, pointer/hash
+//                accumulators in fork-join callbacks, pointer/hash
 //                comparators, wall-clock/rand in engine code
 //   layering     the module include-DAG
 //

@@ -84,7 +84,7 @@ struct FileDeterminism {
     }
   }
 
-  // ---- shared accumulators in ThreadPool callbacks -------------------------
+  // ---- shared accumulators in fork-join callbacks --------------------------
 
   /// True when the first use of `name` inside (open, close) before `at`
   /// looks like a local declaration (preceded by a type-ish token).
@@ -141,7 +141,7 @@ struct FileDeterminism {
       if (declared_locally(body_open, name_ci, name)) continue;
       diag(name_ci, "nondet-shared-accum",
            "read-modify-write of captured non-atomic '" + name +
-               "' inside a ThreadPool callback: racy and "
+               "' inside a fork-join callback: racy and "
                "worker-count-dependent; use std::atomic, a per-worker slot "
                "indexed by the worker id, or annotate the line "
                "SYSMAP_ORDER_INDEPENDENT with why this cannot race");
@@ -150,9 +150,13 @@ struct FileDeterminism {
 
   void check_shared_accumulators() {
     for (std::size_t ci = 2; ci + 1 < m.ntok(); ++ci) {
-      // pool.run( ... ) — the fork-join callback boundary.
-      if (!m.is_ident(ci, "run") || !m.is_punct(ci + 1, "(")) continue;
-      if (!m.is_punct(ci - 1, ".") && !m.is_punct(ci - 1, "->")) continue;
+      // fork_join( ... ) or pool.run( ... ) — the fork-join callback
+      // boundary.
+      const bool pool_run =
+          m.is_ident(ci, "run") &&
+          (m.is_punct(ci - 1, ".") || m.is_punct(ci - 1, "->"));
+      if (!pool_run && !m.is_ident(ci, "fork_join")) continue;
+      if (!m.is_punct(ci + 1, "(")) continue;
       std::size_t close = m.match_close(ci + 1, "(", ")");
       if (close >= m.ntok()) continue;
       // Every by-reference-capturing lambda inside the argument list.

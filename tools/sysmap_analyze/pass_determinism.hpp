@@ -3,7 +3,7 @@
 // The engine's contract is bit-identical results at every worker count,
 // which dies by a thousand cuts: iterating a hash container to build a
 // report, sorting by pointer value, bumping a shared counter from a
-// ThreadPool callback, seeding anything from the wall clock.  The pass
+// fork-join callback, seeding anything from the wall clock.  The pass
 // flags each of those shapes; a true order-independent use is silenced by
 // a ORDER_INDEPENDENT(reason) annotation on the flagged line or the
 // line above it.
@@ -14,9 +14,10 @@
 //                          variable: element order is hash- and
 //                          libstdc++-version-dependent
 //   nondet-shared-accum    read-modify-write of a by-reference captured,
-//                          non-atomic variable inside a ThreadPool .run()
-//                          callback: a data race, and racy even when "only
-//                          a counter"
+//                          non-atomic variable inside an inline lambda
+//                          passed to fork_join() or to a pool's .run():
+//                          a data race, and racy even when "only a
+//                          counter"
 //   nondet-comparator      sort-family comparator whose body takes
 //                          addresses or hashes its operands: pointer order
 //                          differs run to run
