@@ -1,27 +1,17 @@
-// SEARCH-THROUGHPUT -- Procedure 5.1 with and without the verdict cache.
+// SEARCH-THROUGHPUT -- Procedure 5.1 end to end.
 //
 // Runs Procedure 5.1 END TO END (cone walk, dependence screen, fixed-S
 // context screen, conflict oracle, first-hit-optimal abort) for each
-// gallery workload and oracle, in two modes:
-//   ctx        the search as shipped (FixedSpaceContext screen)
-//   ctx_cache  ctx + canonical-form verdict cache
-// Both modes are bit-identical by construction -- this harness asserts
-// every SearchResult field agrees (operator==) before reporting any
-// number -- and a final multi-S sweep shares one cache across scaled and
-// sign-flipped k <= n-2 space parts to demonstrate (and assert)
-// cross-search hits.  The cache only serves k <= n-2: at k = n-1 the
-// ctx_cache rows time the uncached screen (FixedSpaceContext::screen
-// ignores the cache there), so they read ~1.0x by construction.
-// Cache hit/miss counts are deltas of the bench-owned cache's stats().
+// gallery workload and oracle, as shipped (mode "ctx": every candidate
+// goes through the FixedSpaceContext screen).  Every rep must return the
+// first rep's SearchResult (operator==) before any number is reported.
 //
 // Output: a human-readable table on stdout and JSON lines (one object per
-// case/oracle/mode with the median time of its reps, their range and the
-// median rep's cache counters, plus speedup summary objects)
-// written to $SYSMAP_BENCH_JSON or BENCH_search.json.  Set
-// SYSMAP_BENCH_SMOKE=1 for a single-rep quick pass (CI smoke).
+// case/oracle with the median time of its reps and their range) written
+// to $SYSMAP_BENCH_JSON or BENCH_search.json.  Set SYSMAP_BENCH_SMOKE=1
+// for a single-rep quick pass (CI smoke).
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -29,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "search/verdict_cache.hpp"
 #include "sysmap.hpp"
 
 using namespace sysmap;
@@ -61,52 +50,22 @@ struct Timing {
   double ms_max = 0;
   int reps = 0;
   search::SearchResult result;
-  std::uint64_t hits = 0;  ///< verdict-cache stats() delta of the median rep
-  std::uint64_t misses = 0;
 };
 
-enum class Mode { kCtx, kCtxCache };
-
-const char* mode_name(Mode m) {
-  switch (m) {
-    case Mode::kCtx:
-      return "ctx";
-    case Mode::kCtxCache:
-      return "ctx_cache";
-  }
-  return "?";
-}
-
-/// Mode::kCtx without a cache, Mode::kCtxCache with one.  Times `reps`
-/// runs and reports their median (with the range): a best-of row would
-/// favor whichever rep the host happened to leave alone.  Every rep must
-/// return the first rep's result.
-Timing run_mode(const Case& c, search::ConflictOracle oracle, int reps,
-                search::VerdictCache* cache = nullptr) {
+/// Times `reps` runs and reports their median (with the range): a best-of
+/// row would favor whichever rep the host happened to leave alone.  Every
+/// rep must return the first rep's result.
+Timing run_search(const Case& c, search::ConflictOracle oracle, int reps) {
   search::SearchOptions opts;
   opts.oracle = oracle;
-  opts.verdict_cache = cache;
   Timing out;
-  struct Sample {
-    double ms;
-    std::uint64_t hits;
-    std::uint64_t misses;
-  };
-  std::vector<Sample> samples;
+  std::vector<double> samples;
   for (int rep = 0; rep < reps; ++rep) {
-    const search::VerdictCache::Stats s0 =
-        cache ? cache->stats() : search::VerdictCache::Stats{};
     auto t0 = std::chrono::steady_clock::now();
     search::SearchResult r = search::procedure_5_1(c.algo, c.space, opts);
     auto t1 = std::chrono::steady_clock::now();
-    Sample sample{std::chrono::duration<double, std::milli>(t1 - t0).count(),
-                  0, 0};
-    if (cache) {
-      const search::VerdictCache::Stats s1 = cache->stats();
-      sample.hits = s1.hits - s0.hits;
-      sample.misses = s1.misses - s0.misses;
-    }
-    samples.push_back(sample);
+    samples.push_back(
+        std::chrono::duration<double, std::milli>(t1 - t0).count());
     if (rep == 0) {
       out.result = std::move(r);
     } else if (r != out.result) {
@@ -114,22 +73,18 @@ Timing run_mode(const Case& c, search::ConflictOracle oracle, int reps,
       std::exit(1);
     }
   }
-  std::sort(samples.begin(), samples.end(),
-            [](const Sample& a, const Sample& b) { return a.ms < b.ms; });
+  std::sort(samples.begin(), samples.end());
   const std::size_t mid = samples.size() / 2;
-  out.ms = samples.size() % 2 == 1
-               ? samples[mid].ms
-               : (samples[mid - 1].ms + samples[mid].ms) / 2;
-  out.ms_min = samples.front().ms;
-  out.ms_max = samples.back().ms;
+  out.ms = samples.size() % 2 == 1 ? samples[mid]
+                                   : (samples[mid - 1] + samples[mid]) / 2;
+  out.ms_min = samples.front();
+  out.ms_max = samples.back();
   out.reps = reps;
-  out.hits = samples[mid].hits;
-  out.misses = samples[mid].misses;
   return out;
 }
 
 void emit_json(std::ostream& json, const Case& c,
-               search::ConflictOracle oracle, Mode mode, const Timing& t) {
+               search::ConflictOracle oracle, const Timing& t) {
   double cps =
       t.ms > 0
           ? 1000.0 * static_cast<double>(t.result.candidates_tested) / t.ms
@@ -138,14 +93,13 @@ void emit_json(std::ostream& json, const Case& c,
        << ",\"n\":" << c.algo.index_set().dimension()
        << ",\"k\":" << (c.space.rows() + 1) << ",\"oracle\":\""
        << oracle_name(oracle) << "\""
-       << ",\"mode\":\"" << mode_name(mode) << "\""
+       // "mode" completes tools/check_bench_regression.py's row key.
+       << ",\"mode\":\"ctx\""
        << ",\"ms\":" << t.ms << ",\"ms_min\":" << t.ms_min
        << ",\"ms_max\":" << t.ms_max << ",\"reps\":" << t.reps
        << ",\"candidates_tested\":" << t.result.candidates_tested
        << ",\"passed_dependence\":" << t.result.candidates_passed_dependence
        << ",\"candidates_per_sec\":" << cps
-       << ",\"cache_hits\":" << t.hits
-       << ",\"cache_misses\":" << t.misses
        << ",\"found\":" << (t.result.found ? "true" : "false")
        << ",\"objective\":" << t.result.objective << "}\n";
 }
@@ -162,8 +116,8 @@ int main(int argc, char** /*argv*/) {
   std::ofstream json(path ? path : "BENCH_search.json");
 
   // k = n-1 cases hit the Prop 3.2 closed form; the unit-cube cases keep
-  // k <= n-2 so the HNF warm start, the exact ladder and the kernel-basis
-  // cache keys are exercised.  The larger-mu cases push the first
+  // k <= n-2 so the raw kernel-witness screen, the HNF warm start and the
+  // exact ladder are exercised.  The larger-mu cases push the first
   // feasible conflict vector to higher objective levels, so many more
   // candidates reach the oracle before the optimum -- the regime every
   // path here targets.  The mu=4 cases are deliberately tiny: there the
@@ -196,11 +150,10 @@ int main(int argc, char** /*argv*/) {
       search::ConflictOracle::kBruteForce,
   };
 
-  std::cout << "SEARCH-THROUGHPUT: end-to-end procedure_5_1 search paths\n";
-  std::cout << "case                      oracle          cands     ctx_ms   "
-               "cache_ms  ctx/cache  hits/misses\n";
+  std::cout << "SEARCH-THROUGHPUT: end-to-end procedure_5_1 search\n";
+  std::cout << "case                      oracle          cands     "
+               "median_ms  (min-max)\n";
 
-  bool all_parity_ok = true;
   for (const Case& c : cases) {
     for (search::ConflictOracle oracle : oracles) {
       if (oracle == search::ConflictOracle::kBruteForce && !c.brute_force_ok) {
@@ -208,23 +161,14 @@ int main(int argc, char** /*argv*/) {
       }
       int reps = 1;
       if (!smoke) {
-        // Calibrate on one ctx run so every mode repeats long enough to
-        // time stably, then keep the count identical across modes.
-        Timing probe = run_mode(c, oracle, 1);
+        // Calibrate on one run so the timed reps last long enough to time
+        // stably.
+        Timing probe = run_search(c, oracle, 1);
         reps = probe.ms >= 50
                    ? 3
                    : static_cast<int>(50 / (probe.ms + 0.01)) + 3;
       }
-      Timing ctx = run_mode(c, oracle, reps);
-      search::VerdictCache cache;
-      Timing cached = run_mode(c, oracle, reps, &cache);
-      if (ctx.result != cached.result) {
-        std::cerr << "PARITY VIOLATION in " << c.name << "/"
-                  << oracle_name(oracle) << "\n";
-        all_parity_ok = false;
-        continue;
-      }
-      double cache_speedup = cached.ms > 0 ? ctx.ms / cached.ms : 0;
+      const Timing t = run_search(c, oracle, reps);
 
       std::ostringstream row;
       row.setf(std::ios::fixed);
@@ -233,64 +177,16 @@ int main(int argc, char** /*argv*/) {
       for (std::size_t p = c.name.size(); p < 26; ++p) row << ' ';
       row << oracle_name(oracle);
       for (std::size_t p = oracle_name(oracle).size(); p < 16; ++p) row << ' ';
-      row << ctx.result.candidates_tested << "/"
-          << ctx.result.candidates_passed_dependence << "  " << ctx.ms
-          << "  " << cached.ms << "  ";
-      row.precision(2);
-      row << cache_speedup << "x  " << cached.hits << "/"
-          << cached.misses;
+      row << t.result.candidates_tested << "/"
+          << t.result.candidates_passed_dependence << "  " << t.ms << "  ("
+          << t.ms_min << "-" << t.ms_max << ")";
       std::cout << row.str() << "\n";
 
-      emit_json(json, c, oracle, Mode::kCtx, ctx);
-      emit_json(json, c, oracle, Mode::kCtxCache, cached);
-      json << "{\"case\":\"" << c.name << "\",\"oracle\":\""
-           << oracle_name(oracle) << "\""
-           << ",\"ctx_cache_vs_ctx\":" << cache_speedup << "}\n";
+      emit_json(json, c, oracle, t);
       json.flush();
-    }
-  }
-
-  // Multi-S sweep: one shared cache across k <= n-2 space parts whose
-  // kernel lattices coincide (a scaled or sign-flipped row leaves
-  // ker[S; Pi] unchanged, so the canonical kernel keys repeat).  The later
-  // searches must run hot -- an all-miss sweep means the canonical keys
-  // regressed, so it fails the bench just like a parity violation.
-  {
-    model::UniformDependenceAlgorithm algo =
-        model::unit_cube_algorithm(4, smoke ? 2 : 3);
-    const std::vector<MatI> spaces = {
-        MatI{{1, 0, 0, 0}}, MatI{{2, 0, 0, 0}}, MatI{{3, 0, 0, 0}},
-        MatI{{-1, 0, 0, 0}}, MatI{{4, 0, 0, 0}},
-    };
-    search::VerdictCache cache;
-    search::SearchOptions opts;
-    opts.verdict_cache = &cache;
-    auto t0 = std::chrono::steady_clock::now();
-    bool sweep_parity = true;
-    for (const MatI& space : spaces) {
-      search::SearchResult r = search::procedure_5_1(algo, space, opts);
-      search::SearchResult plain = search::procedure_5_1(algo, space, {});
-      sweep_parity = sweep_parity && plain == r;
-    }
-    auto t1 = std::chrono::steady_clock::now();
-    const search::VerdictCache::Stats sweep = cache.stats();
-    double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    std::cout << "multi_S_sweep             shared cache    " << sweep.hits
-              << " hits / " << sweep.misses << " misses over "
-              << spaces.size() << " spaces\n";
-    json << "{\"sweep\":\"multi_s\",\"spaces\":" << spaces.size()
-         << ",\"ms\":" << ms
-         << ",\"cache_hits\":" << sweep.hits
-         << ",\"cache_misses\":" << sweep.misses
-         << ",\"parity\":" << (sweep_parity ? "true" : "false") << "}\n";
-    if (!sweep_parity || sweep.hits == 0) {
-      std::cerr << (sweep_parity ? "NO CACHE HITS in multi-S sweep"
-                                 : "PARITY VIOLATION in multi-S sweep")
-                << "\n";
-      all_parity_ok = false;
     }
   }
   json << sysmap::obs::snapshot_json() << "\n";
   json.flush();
-  return all_parity_ok ? 0 : 1;
+  return 0;
 }

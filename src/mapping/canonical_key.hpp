@@ -1,59 +1,44 @@
-// Canonical forms of the conflict-determining data, for verdict caching.
+// Canonical orbit keys of a space matrix S, for the sweeps' memos.
 //
-// Whether T = [S; Pi] with k <= n-2 is conflict-free over an index set
-// J^n depends on strictly LESS than (S, Pi): only on the kernel lattice of
-// T (Theorems 4.5/4.7/4.8 and the conflict lattice), represented by the
-// HNF-derived basis block u_{k+1..n}.  The paper-theorem ladder consumes
-// the basis columns through sign-pattern- and permutation-invariant tests,
-// so columns are made primitive, sign-normalized and sorted
-// lexicographically.  (The EXACT oracle's LLL + box-enumeration tail is
-// NOT invariant under these moves -- lll_impl.hpp's round_nearest breaks
-// odd symmetry -- so search::VerdictCache only admits kExact outcomes
-// proven invariant; see verdict_cache.hpp for the admission policy.)  The
-// k = n-1 case has no key: Theorem 3.1 decides it in O(n), faster than a
-// key could be built.  The two orbit keys below canonicalize S itself.
-//
-// Keys embed the index-set extents and an oracle tag so distinct boxes or
-// oracles can never alias, plus a kind tag separating the key families.
-// Builders return nullopt when the data does not fit the int64 payload
-// (callers then simply skip the cache -- correctness never depends on a
-// key existing).
+// Two space matrices related by a move that preserves what a sweep reads
+// share one key, so a result computed for one may be reused for the
+// other.  Two families exist (see SpaceOrbitCanonicalizer): the cost orbit,
+// across which processor counts transfer, and the schedule orbit, across
+// which Procedure 5.1's optimal objective transfers -- Simhadri's symmetry
+// argument (PAPERS.md).  Keys embed the index-set extents (and, for the
+// schedule orbit, the dependence matrix) so distinct boxes or algorithms
+// never alias, plus a kind tag separating the two families.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
-#include "exact/bigint.hpp"
 #include "exact/checked.hpp"
-#include "lattice/kernel.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/types.hpp"
 #include "model/index_set.hpp"
 
 namespace sysmap::mapping {
 
-/// Hashable canonical form of one conflict question.  Equality compares
+/// Hashable canonical orbit key of a space matrix.  Equality compares
 /// every field; the hash is FNV-1a over the same bytes-as-words stream.
 struct ConflictKey {
   enum class Kind : std::uint8_t {
-    kKernelBasis = 1,    ///< k <= n-2: canonicalized u_{k+1..n} block
-    kSpaceOrbit = 2,     ///< cost orbit of a space matrix S over a box
-    kScheduleOrbit = 3,  ///< schedule-search orbit of S for a fixed (J, D)
+    kSpaceOrbit,     ///< cost orbit of a space matrix S over a box
+    kScheduleOrbit,  ///< schedule-search orbit of S for a fixed (J, D)
   };
 
-  Kind kind = Kind::kKernelBasis;
-  std::int32_t oracle_tag = 0;  ///< caller-supplied oracle discriminator
-  std::uint32_t n = 0;          ///< index-set dimension
-  std::uint32_t k = 0;          ///< rows(T)
-  std::vector<Int> payload;     ///< extents mu_1..mu_n, then canonical data
+  Kind kind = Kind::kSpaceOrbit;
+  std::uint32_t n = 0;       ///< index-set dimension
+  std::uint32_t k = 0;       ///< rows(S)
+  std::vector<Int> payload;  ///< extents mu_1..mu_n, then canonical data
 
   friend bool operator==(const ConflictKey& a, const ConflictKey& b) {
-    return a.kind == b.kind && a.oracle_tag == b.oracle_tag && a.n == b.n &&
-           a.k == b.k && a.payload == b.payload;
+    return a.kind == b.kind && a.n == b.n && a.k == b.k &&
+           a.payload == b.payload;
   }
 
   std::size_t hash() const noexcept {
@@ -63,7 +48,6 @@ struct ConflictKey {
       h *= 1099511628211ull;  // FNV-1a prime
     };
     mix(static_cast<std::uint64_t>(kind));
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(oracle_tag)));
     mix((static_cast<std::uint64_t>(n) << 32) | k);
     for (Int v : payload) mix(static_cast<std::uint64_t>(v));
     return static_cast<std::size_t>(h);
@@ -143,48 +127,6 @@ inline std::vector<std::vector<std::size_t>> equal_extent_arrangements(
 }
 
 }  // namespace detail
-
-/// Canonical key for a k <= n-2 kernel basis block (columns u_{k+1..n} of
-/// the HNF transform).  Each column is made primitive with its first
-/// nonzero entry positive, then columns are sorted lexicographically --
-/// both moves preserve the lattice tests the paper-theorem ladder runs
-/// (divisibility, sign-pattern classes, extent comparisons), which is the
-/// cache's parity argument.  Returns nullopt when any canonical entry
-/// does not fit int64.
-template <typename T>
-std::optional<ConflictKey> canonical_kernel_key(const linalg::Matrix<T>& u,
-                                                std::size_t first_col,
-                                                const model::IndexSet& set,
-                                                std::size_t k,
-                                                std::int32_t oracle_tag) {
-  const std::size_t n = u.rows();
-  const std::size_t cols = u.cols() - first_col;
-  std::vector<VecI> columns;
-  columns.reserve(cols);
-  for (std::size_t c = first_col; c < u.cols(); ++c) {
-    linalg::Vector<T> col(n);
-    for (std::size_t i = 0; i < n; ++i) col[i] = u(i, c);
-    col = lattice::make_primitive_t(std::move(col));
-    VecI narrow(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!col[i].fits_int64()) return std::nullopt;
-      narrow[i] = col[i].to_int64();
-    }
-    columns.push_back(std::move(narrow));
-  }
-  std::sort(columns.begin(), columns.end());
-  ConflictKey key;
-  key.kind = ConflictKey::Kind::kKernelBasis;
-  key.oracle_tag = oracle_tag;
-  key.n = static_cast<std::uint32_t>(n);
-  key.k = static_cast<std::uint32_t>(k);
-  key.payload.reserve(set.dimension() + cols * n);
-  detail::append_extents(set, key.payload);
-  for (const VecI& col : columns) {
-    key.payload.insert(key.payload.end(), col.begin(), col.end());
-  }
-  return key;
-}
 
 /// Orbit size beyond which only the identity arrangement is tried.
 inline constexpr std::size_t kMaxOrbitArrangements = 720;
@@ -337,7 +279,6 @@ class SpaceOrbitCanonicalizer {
     }
     ConflictKey key;
     key.kind = kind_;
-    key.oracle_tag = 0;
     key.n = static_cast<std::uint32_t>(n);
     key.k = static_cast<std::uint32_t>(m);
     key.payload.reserve(head_.size() + cells + tail_.size());

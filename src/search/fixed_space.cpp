@@ -1,10 +1,8 @@
 #include "search/fixed_space.hpp"
 
-#include <cstdint>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -16,11 +14,9 @@
 #include "lattice/hnf_impl.hpp"
 #include "lattice/kernel.hpp"
 #include "linalg/ops.hpp"
-#include "mapping/canonical_key.hpp"
 #include "mapping/mapping_matrix.hpp"
 #include "mapping/verdicts_impl.hpp"
 #include "obs/obs.hpp"
-#include "search/verdict_cache.hpp"
 
 namespace sysmap::search {
 
@@ -394,42 +390,6 @@ ConflictVerdict hnf_tail_verdict(ConflictOracle oracle,
   return mapping::detail::decide_conflict_free_hnf_ladder_t(hnf, k, set);
 }
 
-/// Cached k <= n-2 accept over the warm-started HNF: the canonical kernel
-/// key is built from the u_{k+1..n} block BEFORE running the (expensive)
-/// verdict tail, so hits skip the theorem ladder / LLL / enumeration
-/// entirely.  Insertion follows the admission policy of verdict_cache.hpp;
-/// keys the int64 payload cannot represent simply bypass the cache.
-template <typename T>
-std::optional<ConflictVerdict> hnf_cached_accept(
-    ConflictOracle oracle, const lattice::BasicHnfResult<T>& hnf,
-    std::size_t k, std::size_t n, const model::IndexSet& set,
-    VerdictCache& cache) {
-  std::optional<mapping::ConflictKey> key = mapping::canonical_kernel_key(
-      hnf.u, k, set, k,
-      static_cast<std::int32_t>(oracle));  // SYSMAP_NARROWING_OK: tag 0..2.
-  if (key) {
-    if (std::optional<VerdictCache::Outcome> hit = cache.lookup(*key)) {
-      if (!hit->conflict_free) return std::nullopt;
-      return mapping::detail::verdict(ConflictVerdict::Status::kConflictFree,
-                                      hit->rule);
-    }
-  }
-  ConflictVerdict v = hnf_tail_verdict(oracle, hnf, k, n, set);
-  const bool cf = v.status == ConflictVerdict::Status::kConflictFree;
-  if (key) {
-    const bool admit =
-        oracle == ConflictOracle::kPaperTheorems
-            ? true
-            : (v.status == ConflictVerdict::Status::kHasConflict ||
-               (cf && exact_accept_rule_cacheable(v.rule)));
-    if (admit) {
-      cache.insert(*key, cf, cf ? std::string_view(v.rule) : std::string_view{});
-    }
-  }
-  if (!cf) return std::nullopt;
-  return v;
-}
-
 }  // namespace
 
 struct FixedSpaceContext::Impl {
@@ -574,14 +534,12 @@ bool FixedSpaceContext::has_full_rank(const VecI& pi) const {
 }
 
 std::optional<ConflictVerdict> FixedSpaceContext::screen(
-    ConflictOracle oracle, const VecI& pi, VerdictCache* cache) const {
+    ConflictOracle oracle, const VecI& pi) const {
   const Impl& im = *impl_;
   if (oracle != ConflictOracle::kBruteForce && im.k + 1 == im.n) {
     // One cofactor product decides both Step 5(2) and 5(3): gamma = C pi
     // is zero exactly when rank([S; pi]) < k (the rank reject), and
     // otherwise the gcd-scaled Theorem 2.2 test decides conflict-freeness.
-    // The O(n) test is cheaper than building a cache key, so `cache` is
-    // never consulted here.
     if (im.cofactor_raw) {
       std::optional<Thm31Screen> s =
           theorem_3_1_screen_raw(*im.cofactor_raw, pi, im.set);
@@ -638,7 +596,7 @@ std::optional<ConflictVerdict> FixedSpaceContext::screen(
           }
         });
   }
-  if (oracle == ConflictOracle::kExact && cache == nullptr && im.free_raw) {
+  if (oracle == ConflictOracle::kExact && im.free_raw) {
     // k <= n-2 under the exact oracle: a kernel vector inside the box is a
     // conflict the ladder would reject too, so the raw witness screen
     // rejects without the echelon replay, the HNF or the ladder.
@@ -661,36 +619,9 @@ std::optional<ConflictVerdict> FixedSpaceContext::screen(
     }
   }
   // k <= n-2, k = n, or brute force: the echelon rank replay decides
-  // Step 5(2), then the full verdict decides 5(3).  Brute force never
-  // touches the cache; verdict() routes it to enumeration_conflicts.
+  // Step 5(2), then the full verdict decides 5(3); verdict() routes brute
+  // force to enumeration_conflicts.
   if (!has_full_rank(pi)) return std::nullopt;
-  if (cache != nullptr && oracle != ConflictOracle::kBruteForce &&
-      im.k + 2 <= im.n) {
-    // Memoized k <= n-2: the warm-started HNF still runs per candidate
-    // (it is what the key is extracted from), but a hit skips the whole
-    // verdict tail -- the theorem ladder under kPaperTheorems, LLL plus
-    // lattice enumeration under kExact.
-    const bool have_prefix = im.checked ? im.checked->prefix.has_value()
-                                        : im.big().prefix.has_value();
-    if (have_prefix) {
-      return exact::with_fallback(
-          [&]() -> std::optional<ConflictVerdict> {
-            if (!im.checked || !im.checked->prefix) {
-              throw exact::OverflowError("fixed-space: no checked HNF prefix");
-            }
-            lattice::BasicHnfResult<CheckedInt> hnf =
-                lattice::detail::hermite_extend_row_t(
-                    *im.checked->prefix, lift_vec<CheckedInt>(pi));
-            return hnf_cached_accept(oracle, hnf, im.k, im.n, im.set, *cache);
-          },
-          [&]() -> std::optional<ConflictVerdict> {
-            lattice::BasicHnfResult<BigInt> hnf =
-                lattice::detail::hermite_extend_row_t(*im.big().prefix,
-                                                      lift_vec<BigInt>(pi));
-            return hnf_cached_accept(oracle, hnf, im.k, im.n, im.set, *cache);
-          });
-    }
-  }
   if (oracle != ConflictOracle::kBruteForce && im.k + 2 <= im.n) {
     SYSMAP_COUNT("search.fixed_space.ladder_verdicts", 1);
   }

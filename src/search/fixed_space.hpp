@@ -22,7 +22,9 @@
 // (status, rule string AND witness) are bit-identical to the per-candidate
 // references MappingMatrix::has_full_rank + run_conflict_oracle --
 // asserted by tests/fixed_space_test.cpp across the gallery and all
-// oracles.  screen() is the only way procedure_5_1 decides Step 5(2)+(3).
+// oracles.  screen() is the only way procedure_5_1 decides Step 5(2)+(3),
+// with one path per (k, oracle) and no memo of verdicts: each candidate is
+// decided from its own [S; pi].
 //
 // The context is immutable after construction; all query methods are const
 // and safe to call from several threads at once.
@@ -37,8 +39,6 @@
 #include "search/procedure51.hpp"
 
 namespace sysmap::search {
-
-class VerdictCache;
 
 class FixedSpaceContext {
  public:
@@ -66,19 +66,13 @@ class FixedSpaceContext {
   /// For k = n-1 (kPaperTheorems, kExact) one cofactor product C pi
   /// decides both screens (the cross product of an (n-1) x n matrix is
   /// nonzero exactly when it has full rank), so the echelon replay is
-  /// skipped on the sweep's hottest path.  For k <= n-2 under kExact
-  /// without a cache, a raw kernel-witness screen (pi times the free HNF
-  /// columns of S) rejects rank-deficient candidates and those with a
-  /// kernel vector inside the difference box first; whatever it cannot
-  /// reject, like every other case, runs the echelon replay and then the
-  /// oracle.  A non-null `cache` is used only for k <= n-2 under
-  /// kPaperTheorems or kExact: outcomes are memoized by canonical kernel
-  /// key under the admission policy of verdict_cache.hpp -- results stay
-  /// bit-identical; only the cache's counters observe it.
-  /// At k = n-1, k = n and under kBruteForce the cache is never touched.
-  std::optional<mapping::ConflictVerdict> screen(
-      ConflictOracle oracle, const VecI& pi,
-      VerdictCache* cache = nullptr) const;
+  /// skipped on the sweep's hottest path.  For k <= n-2 under kExact, a
+  /// raw kernel-witness screen (pi times the free HNF columns of S)
+  /// rejects rank-deficient candidates and those with a kernel vector
+  /// inside the difference box first; whatever it cannot reject, like
+  /// every other case, runs the echelon replay and then the oracle.
+  std::optional<mapping::ConflictVerdict> screen(ConflictOracle oracle,
+                                                 const VecI& pi) const;
 
   /// The full verdict for pi under `oracle`, bit-identical (status, rule,
   /// witness) to run_conflict_oracle on T = [S; pi].  Throws exactly where

@@ -48,10 +48,10 @@
 // a Deferred to finish later as a hit (try_score / resume), so a sweep
 // worker keeps scoring other spaces meanwhile.
 // Conflict verdicts are NOT memoized: every candidate is decided by
-// FixedSpaceContext::screen directly, exactly as on the cold path.  A memo
-// shared by the sweep workers would put a lock on the hottest path and
-// save no screen work (docs/PERF.md, "Why the pipeline and the sweeps
-// build none").
+// FixedSpaceContext::screen directly, exactly as on the cold path.  The
+// raw kernel-witness screen rejects almost every k <= n-2 candidate
+// faster than a verdict memo could look it up (docs/PERF.md, "Why there
+// is no verdict cache").
 // score() without a cap is bit-identical to find_time_optimal() in every
 // field, for any interleaving of spaces and threads; the fusion state is
 // internally synchronized, so one const pipeline may be shared by every

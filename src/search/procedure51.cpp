@@ -103,7 +103,7 @@ SearchResult procedure_5_1(const model::UniformDependenceAlgorithm& algo,
       // product itself for k = n-1) plus the conflict oracle; rejected
       // candidates skip verdict materialization entirely.
       std::optional<mapping::ConflictVerdict> verdict =
-          ctx->screen(options.oracle, pi, options.verdict_cache);
+          ctx->screen(options.oracle, pi);
       if (!verdict) return true;
       // (4) routing on a fixed target array, when requested.
       std::optional<schedule::Routing> routing;

@@ -10,7 +10,8 @@
 //       exact enumeration otherwise (see decide_conflict_free)
 //   (4) optionally S D = P K with column sums <= Pi d_i (fixed target array)
 // Conditions (2) and (3) are decided by one module under every oracle:
-// search::FixedSpaceContext::screen (search/fixed_space.hpp).
+// search::FixedSpaceContext::screen (search/fixed_space.hpp), afresh for
+// every candidate.
 //
 // The serial search walks each level with search::DependenceConeWalk
 // (search/enumerate.hpp), which applies condition (1) to whole subtrees:
@@ -28,10 +29,10 @@
 #include "model/algorithm.hpp"
 #include "schedule/interconnect.hpp"
 #include "schedule/linear_schedule.hpp"
+#include "search/verdict_cache.hpp"
 
 namespace sysmap::search {
 
-class VerdictCache;
 class FixedSpaceContext;
 
 /// Which conflict oracle Step 5(3) uses.
@@ -51,13 +52,7 @@ struct SearchOptions {
   /// Require routability on this target array (condition 4); nullopt
   /// designs a dedicated array instead (conditions 1-3 only).
   std::optional<schedule::Interconnect> target;
-  /// Optional canonical-form verdict cache (see search/verdict_cache.hpp),
-  /// an opt-in memo for k <= n-2 under kPaperTheorems or kExact.
-  /// Shareable across searches and across threads; results stay
-  /// bit-identical -- only the cache's own stats() observe it.  Never
-  /// consulted at k = n-1 (Theorem 3.1 is cheaper than a key), at k = n
-  /// or under kBruteForce.  The library's own callers (MappingPipeline,
-  /// the Problem 6.1/6.2 sweeps) never set it.
+  /// Inert; kept so sysbench compiles. ROADMAP item 3 deletes it.
   VerdictCache* verdict_cache = nullptr;
   /// Optional caller-owned search::FixedSpaceContext for this exact
   /// (J, S) pair, borrowed for the duration of the call; nullptr lets the

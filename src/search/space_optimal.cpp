@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 #include <variant>
 
@@ -16,7 +17,6 @@
 #include "mapping/canonical_key.hpp"
 #include "obs/obs.hpp"
 #include "search/pipeline.hpp"
-#include "search/verdict_cache.hpp"
 #include "support/flat_image_set.hpp"
 #include "support/fork_join.hpp"
 
@@ -243,7 +243,31 @@ bool injective_on_box(const model::IndexSet& set, const MatI& space) {
       .conflict_free();
 }
 
-// Per-worker processor-count evaluator: orbit-cache lookup, injectivity
+// Exact processor counts by cost-orbit key, shared by a sweep's workers.
+// Every writer for a key computes the same count (the key proves the
+// counts equal), so the first writer wins and a hit is bit-identical to
+// recounting: no result depends on how the workers interleave.
+class OrbitCounts {
+ public:
+  std::optional<Int> lookup(const mapping::ConflictKey& key) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = counts_.find(key);
+    if (it == counts_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  void insert(const mapping::ConflictKey& key, Int count) {
+    std::lock_guard<std::mutex> lock(mu_);
+    counts_.emplace(key, count);
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::unordered_map<mapping::ConflictKey, Int, mapping::ConflictKeyHash>
+      counts_;
+};
+
+// Per-worker processor-count evaluator: orbit-memo lookup, injectivity
 // shortcut, then support::count_images on one reused flat table (which
 // falls back to the std::set walk by itself when a box does not pack).
 // Every path computes the same exact count; only speed and the
@@ -251,7 +275,7 @@ bool injective_on_box(const model::IndexSet& set, const MatI& space) {
 class ProcessorCounter {
  public:
   ProcessorCounter(const model::IndexSet& set, std::uint64_t points,
-                   bool points_known, ImageCountCache& counts,
+                   bool points_known, OrbitCounts& counts,
                    const mapping::SpaceOrbitCanonicalizer& orbit)
       : set_(&set),
         points_(points),
@@ -298,7 +322,7 @@ class ProcessorCounter {
   const model::IndexSet* set_;
   std::uint64_t points_;
   bool points_known_;
-  ImageCountCache* counts_;
+  OrbitCounts* counts_;
   const mapping::SpaceOrbitCanonicalizer* orbit_;
   support::FlatImageSet images_;
 };
@@ -471,7 +495,7 @@ struct Sweep {
 };
 
 // The one Problem 6.1/6.2 driver: a shared lazy SpaceFeed, one shared
-// orbit-count cache, one ProcessorCounter and State per worker, run
+// orbit-count memo, one ProcessorCounter and State per worker, run
 // inline when the sweep is one chunk or num_threads <= 1, and otherwise
 // as one support::fork_join of at most one worker per chunk.
 // `visit(state, counter, space, pos, solution)` sees every candidate
@@ -494,7 +518,7 @@ Sweep<State> run_sweep(const model::UniformDependenceAlgorithm& algo,
   } catch (const exact::OverflowError&) {
     points_known = false;  // disables the injectivity compare only
   }
-  ImageCountCache counts;
+  OrbitCounts counts;
   const mapping::SpaceOrbitCanonicalizer orbit(set);
   SpaceFeed feed(algo.dimension(), options);
   const std::uint64_t most = std::max<std::uint64_t>(feed.max_candidates(), 1);

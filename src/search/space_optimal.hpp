@@ -127,10 +127,10 @@ struct DesignSpaceResult {
 /// Problem 6.2: sweep candidate S, find each one's time-optimal
 /// conflict-free Pi (Procedure 5.1 / ILP via the Mapper), and keep the
 /// Pareto frontier of (makespan, array cost).  Fast engine: one fused
-/// MappingPipeline scores every space (shared verdict cache, certified
-/// objectives reused across each schedule orbit,
-/// mapping::SpaceOrbitCanonicalizer), plus the parallel sweep and
-/// fast cost evaluation; bit-identical to explore_design_space_seed.
+/// MappingPipeline scores every space (certified objectives reused across
+/// each schedule orbit, mapping::SpaceOrbitCanonicalizer), plus the
+/// parallel sweep and fast cost evaluation; bit-identical to
+/// explore_design_space_seed.
 DesignSpaceResult explore_design_space(
     const model::UniformDependenceAlgorithm& algo,
     const SpaceSearchOptions& options = {});
@@ -160,14 +160,14 @@ struct JointMappingResult {
 };
 
 /// Fused joint query: one MappingPipeline persists across every candidate
-/// space (shared verdict cache, schedule-orbit reuse), the best objective
-/// found so far caps later searches (strict-only: equal-objective spaces
+/// space (schedule-orbit reuse), the best objective found so far caps
+/// later searches (strict-only: equal-objective spaces
 /// are never truncated, so cost tie-breaks and the serial winner survive),
 /// and the sweep parallelizes over spaces with a deterministic
 /// (objective, total, processors, pos) reduction -- bit-identical to
-/// joint_time_optimal_mapping_seed for every thread count and verdict
-/// cache.  Spaces the cap cut short are counted by the
-/// search.pipeline.truncated_by_cap obs counter.
+/// joint_time_optimal_mapping_seed for every thread count.  Spaces the
+/// cap cut short are counted by the search.pipeline.truncated_by_cap obs
+/// counter.
 JointMappingResult joint_time_optimal_mapping(
     const model::UniformDependenceAlgorithm& algo,
     const SpaceSearchOptions& options = {});

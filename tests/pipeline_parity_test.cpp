@@ -286,30 +286,6 @@ TEST(PipelineParity, ExploreDesignSpaceUnitCube) {
   run_explore_parity(model::unit_cube_algorithm(4, 2), 1, 1);
 }
 
-// The fused sweep decides every candidate directly: no verdict cache is
-// built, so no search.verdict_cache.* counter moves, serial or parallel.
-TEST(PipelineParity, ExploreDesignSpaceMovesNoVerdictCacheCounter) {
-  const model::UniformDependenceAlgorithm algo =
-      model::unit_cube_algorithm(4, 2);
-  for (std::size_t threads : {1, 4}) {
-    obs::reset();
-    SpaceSearchOptions options;
-    options.num_threads = threads;
-    const DesignSpaceResult result = explore_design_space(algo, options);
-    EXPECT_GT(result.feasible_spaces, 0u);
-    std::uint64_t moved = 0;
-    for (const obs::Metric& m : obs::snapshot()) {
-      if (m.name.rfind("search.verdict_cache.", 0) == 0) {
-        moved += m.total + m.events;
-      }
-    }
-    EXPECT_EQ(moved, 0u) << "threads " << threads;
-    if (obs::kEnabled) {
-      EXPECT_GT(counter_total("search.pipeline.solves"), 0u);
-    }
-  }
-}
-
 void expect_same_joint(const JointMappingResult& seed,
                        const JointMappingResult& fast,
                        const std::string& label) {

@@ -20,7 +20,6 @@
 #include "mapping/canonical_key.hpp"
 #include "model/gallery.hpp"
 #include "search/space_optimal.hpp"
-#include "search/verdict_cache.hpp"
 #include "support/flat_image_set.hpp"
 
 namespace sysmap::search {
@@ -307,22 +306,6 @@ TEST(SpaceOrbitKey, CanonicalizerMatchesPerCallReference) {
       EXPECT_EQ(b.payload, reference_orbit_form(space, set, &d));
     }
   }
-}
-
-TEST(ImageCountCacheTest, LookupInsertStats) {
-  ImageCountCache cache;
-  const model::IndexSet cube = model::matmul(2).index_set();
-  const mapping::ConflictKey key =
-      mapping::SpaceOrbitCanonicalizer(cube).key(MatI{{1, 1, -1}});
-  EXPECT_FALSE(cache.lookup(key).has_value());
-  cache.insert(key, 13);
-  const std::optional<Int> hit = cache.lookup(key);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, 13);
-  const ImageCountCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.entries, 1u);
 }
 
 // ---- lazy enumeration ------------------------------------------------------

@@ -32,8 +32,8 @@ METRICS = ("candidates_per_sec", "points_per_sec")
 def load_rows(path):
     """Keyed throughput rows from a JSON-lines bench file.
 
-    Returns (rows, readable).  Summary objects (speedup lines, the
-    multi-S sweep) carry no throughput metric and are skipped;
+    Returns (rows, readable).  Summary objects (speedup lines, the obs
+    trailer) carry no throughput metric and are skipped;
     unparsable lines are reported but never fatal -- this gate must not
     brick CI over formatting drift.  An unreadable file (typically a
     baseline that does not exist yet on a first-run branch) yields
