@@ -7,12 +7,18 @@
 // which Procedure 5.1's optimal objective transfers -- Simhadri's symmetry
 // argument (PAPERS.md).  Keys embed the index-set extents (and, for the
 // schedule orbit, the dependence matrix) so distinct boxes or algorithms
-// never alias, plus a kind tag separating the two families.
+// never alias, plus a kind tag separating the two families.  Where the
+// allowed column moves are every permutation within each equal-extent
+// column group, the key sorts those columns instead of trying each
+// arrangement.  row_space_key() gives a third, coarser key: the rational
+// row space of S, across which the fused pipeline transfers a whole
+// Procedure 5.1 answer.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -69,6 +75,41 @@ inline void append_extents(const model::IndexSet& set,
   }
 }
 
+/// The equal-extent column groups of `set` with at least two columns,
+/// each in increasing column order.
+inline std::vector<std::vector<std::size_t>> equal_extent_groups(
+    const model::IndexSet& set, std::size_t n) {
+  std::vector<std::vector<std::size_t>> groups;
+  std::vector<bool> grouped(n, false);
+  for (std::size_t c = 0; c < n; ++c) {
+    if (grouped[c]) continue;
+    std::vector<std::size_t> group{c};
+    grouped[c] = true;
+    for (std::size_t d = c + 1; d < n; ++d) {
+      if (!grouped[d] && set.mu(d) == set.mu(c)) {
+        group.push_back(d);
+        grouped[d] = true;
+      }
+    }
+    if (group.size() > 1) groups.push_back(std::move(group));
+  }
+  return groups;
+}
+
+/// The size of the full product of within-group permutations, saturated
+/// just above `max_arrangements`.
+inline std::size_t arrangement_count(
+    const std::vector<std::vector<std::size_t>>& groups,
+    std::size_t max_arrangements) {
+  std::size_t orbit = 1;
+  for (const std::vector<std::size_t>& group : groups) {
+    for (std::size_t f = 2; f <= group.size(); ++f) {
+      if (orbit <= max_arrangements) orbit *= f;
+    }
+  }
+  return orbit;
+}
+
 /// Column arrangements that keep the index box invariant: the identity,
 /// then every within-group permutation of equal-extent column groups
 /// (composed across groups).  When the full orbit exceeds
@@ -82,45 +123,26 @@ inline std::vector<std::vector<std::size_t>> equal_extent_arrangements(
   std::vector<std::size_t> identity(n);
   for (std::size_t c = 0; c < n; ++c) identity[c] = c;
   arrangements.push_back(identity);
-  // Group columns by extent; count the full orbit first so a blown cap
-  // degrades to the identity arrangement instead of a truncated (and
-  // therefore representative-dependent) orbit slice.
-  std::size_t orbit = 1;
-  std::vector<bool> grouped(n, false);
-  std::vector<std::vector<std::size_t>> groups;
-  for (std::size_t c = 0; c < n; ++c) {
-    if (grouped[c]) continue;
-    std::vector<std::size_t> group{c};
-    grouped[c] = true;
-    for (std::size_t d = c + 1; d < n; ++d) {
-      if (!grouped[d] && set.mu(d) == set.mu(c)) {
-        group.push_back(d);
-        grouped[d] = true;
-      }
-    }
-    for (std::size_t f = 2; f <= group.size(); ++f) {
-      orbit *= f;
-      if (orbit > max_arrangements) break;
-    }
-    if (orbit > max_arrangements) break;
-    if (group.size() > 1) groups.push_back(std::move(group));
+  // Count the full orbit first so a blown cap degrades to the identity
+  // arrangement instead of a truncated (representative-dependent) slice.
+  const std::vector<std::vector<std::size_t>> groups =
+      equal_extent_groups(set, n);
+  if (arrangement_count(groups, max_arrangements) > max_arrangements) {
+    return arrangements;
   }
-  if (orbit <= max_arrangements) {
-    for (const std::vector<std::size_t>& group : groups) {
-      std::vector<std::size_t> order(group.begin(), group.end());
-      const std::size_t fixed = arrangements.size();
-      // Compose every non-identity ordering of this group with every
-      // arrangement accumulated so far.
-      while (std::next_permutation(order.begin(), order.end())) {
-        for (std::size_t a = 0; a < fixed; ++a) {
-          std::vector<std::size_t> perm = arrangements[a];
-          for (std::size_t g = 0; g < group.size(); ++g) {
-            perm[group[g]] = arrangements[a][order[g]];
-          }
-          arrangements.push_back(std::move(perm));
+  for (const std::vector<std::size_t>& group : groups) {
+    std::vector<std::size_t> order(group.begin(), group.end());
+    const std::size_t fixed = arrangements.size();
+    // Compose every non-identity ordering of this group with every
+    // arrangement accumulated so far.
+    while (std::next_permutation(order.begin(), order.end())) {
+      for (std::size_t a = 0; a < fixed; ++a) {
+        std::vector<std::size_t> perm = arrangements[a];
+        for (std::size_t g = 0; g < group.size(); ++g) {
+          perm[group[g]] = arrangements[a][order[g]];
         }
+        arrangements.push_back(std::move(perm));
       }
-      std::sort(order.begin(), order.end());  // restore for reuse
     }
   }
   return arrangements;
@@ -134,14 +156,34 @@ inline constexpr std::size_t kMaxOrbitArrangements = 720;
 /// The two orbit keys of a space matrix S, with the orbit's column
 /// arrangements built once per index set (and dependence matrix), so a
 /// sweep canonicalizes each candidate without rebuilding them.  key(S) is
-/// the lexicographic minimum, over the arrangements, of S with each row
-/// sign-normalized (first nonzero positive) and rows sorted, framed by
-/// the extents (and, for the schedule orbit, the dependence matrix).
+/// a canonical form of S under its orbit's row and column moves, framed by
+/// the extents (and, for the schedule orbit, the dependence matrix): two
+/// spaces get equal keys exactly when a move of the orbit relates them.
 /// When the equal-mu groups admit more than kMaxOrbitArrangements
 /// permutations only the identity arrangement is tried (still canonical in
 /// the row moves, just a coarser orbit -- soundness never depends on
 /// hitting the full orbit).  Immutable after construction; key() reuses
 /// thread-local scratch, so one canonicalizer may serve several threads.
+///
+/// Two routines compute the canonical form, and for a given row count one
+/// canonicalizer always uses the same one:
+///   - ENUMERATION: the lexicographic minimum, over the allowed column
+///     arrangements, of S with each row sign-normalized (first nonzero
+///     positive) and rows sorted.  It serves any allowed set of
+///     arrangements that is a group.
+///   - SORTING: when the allowed arrangements are the FULL product of
+///     permutations within each equal-extent group, the lexicographic
+///     minimum over all 2^m m! signed row permutations R of R S with the
+///     columns of each group sorted (lexicographically, top to bottom).
+///     Sorting one group's columns gives the least row-major flattening
+///     over that group's permutations, so this is the least flattening
+///     over the whole orbit -- the same partition as enumeration, at
+///     2^m m! sorts instead of one pass per arrangement.  It is used when
+///     2^m m! is below the arrangement count (e.g. two rows over five
+///     equal extents: 8 row moves against 120 arrangements).  Timed on
+///     19 (groups, m) cases, that rule picks the faster routine in 18 and
+///     ties the last; sorting on every full product would run up to 17x
+///     slower where the groups are small (docs/PERF.md).
 ///
 /// COST ORBIT (kSpaceOrbit, the one-argument constructor): the key is
 /// equal for two candidates exactly when this routine can prove
@@ -179,6 +221,10 @@ inline constexpr std::size_t kMaxOrbitArrangements = 720;
 ///      conflict-freedom/rank transfer through [S P; Pi] = [S; Pi P^T] P
 ///      (a right permutation preserves both kernel membership in the box
 ///      and rank).
+/// The arrangements passing (b) form a subgroup.  It is the full product
+/// when every within-group permutation fixes D's column multiset (D = I,
+/// say), and a proper subgroup otherwise (transitive closure), where only
+/// enumeration applies.
 /// Everything beyond f* -- the winning Pi itself, its verdict/witness,
 /// routing on a fixed target (which reads S D, not preserved by move 3),
 /// and the array cost -- is NOT invariant; callers must re-derive those on
@@ -192,8 +238,8 @@ class SpaceOrbitCanonicalizer {
   explicit SpaceOrbitCanonicalizer(const model::IndexSet& set)
       : kind_(ConflictKey::Kind::kSpaceOrbit), n_(set.dimension()) {
     detail::append_extents(set, head_);
-    flatten(
-        detail::equal_extent_arrangements(set, n_, kMaxOrbitArrangements));
+    flatten(set,
+            detail::equal_extent_arrangements(set, n_, kMaxOrbitArrangements));
   }
 
   /// The schedule orbit of spaces for the algorithm (set, dependence):
@@ -230,7 +276,7 @@ class SpaceOrbitCanonicalizer {
       }
       arrangements = std::move(valid);
     }
-    flatten(arrangements);
+    flatten(set, arrangements);
   }
 
   ConflictKey key(const MatI& space) const {
@@ -238,12 +284,63 @@ class SpaceOrbitCanonicalizer {
       throw std::invalid_argument("orbit key: S width must equal n");
     }
     const std::size_t m = space.rows();
-    const std::size_t n = n_;
-    const std::size_t cells = m * n;
-    thread_local std::vector<Int> cand;
+    const std::size_t cells = m * n_;
     thread_local std::vector<Int> best;
-    cand.resize(cells);
     best.resize(cells);
+    if (sorts(space)) {
+      sorted_form(space, best);
+    } else {
+      enumerated_form(space, best);
+    }
+    ConflictKey key;
+    key.kind = kind_;
+    key.n = static_cast<std::uint32_t>(n_);
+    key.k = static_cast<std::uint32_t>(m);
+    key.payload.reserve(head_.size() + cells + tail_.size());
+    key.payload.insert(key.payload.end(), head_.begin(), head_.end());
+    key.payload.insert(key.payload.end(), best.begin(), best.end());
+    key.payload.insert(key.payload.end(), tail_.begin(), tail_.end());
+    return key;
+  }
+
+ private:
+  void flatten(const model::IndexSet& set,
+               const std::vector<std::vector<std::size_t>>& arrangements) {
+    arrangements_ = arrangements.size();
+    perms_.reserve(arrangements_ * n_);
+    for (const std::vector<std::size_t>& perm : arrangements) {
+      perms_.insert(perms_.end(), perm.begin(), perm.end());
+    }
+    groups_ = detail::equal_extent_groups(set, n_);
+    full_product_ = arrangements_ == detail::arrangement_count(
+                                         groups_, kMaxOrbitArrangements);
+  }
+
+  /// Whether key(space) takes the sorting routine: the arrangements are
+  /// the full product, 2^m m! row moves cost less than the arrangements,
+  /// and every entry negates without overflow.
+  bool sorts(const MatI& space) const {
+    if (!full_product_) return false;
+    std::size_t moves = 1;
+    for (std::size_t r = 1; r <= space.rows(); ++r) {
+      moves *= 2 * r;
+      if (moves >= arrangements_) return false;
+    }
+    for (std::size_t r = 0; r < space.rows(); ++r) {
+      for (std::size_t c = 0; c < n_; ++c) {
+        if (space(r, c) == std::numeric_limits<Int>::min()) return false;
+      }
+    }
+    return true;
+  }
+
+  /// Least row-major flattening of S P over the arrangements P, each with
+  /// its rows sign-normalized and sorted.
+  void enumerated_form(const MatI& space, std::vector<Int>& best) const {
+    const std::size_t m = space.rows();
+    const std::size_t n = n_;
+    thread_local std::vector<Int> cand;
+    cand.resize(m * n);
     bool have_best = false;
     for (std::size_t a = 0; a < arrangements_; ++a) {
       const std::size_t* perm = perms_.data() + a * n;
@@ -277,32 +374,131 @@ class SpaceOrbitCanonicalizer {
         have_best = true;
       }
     }
-    ConflictKey key;
-    key.kind = kind_;
-    key.n = static_cast<std::uint32_t>(n);
-    key.k = static_cast<std::uint32_t>(m);
-    key.payload.reserve(head_.size() + cells + tail_.size());
-    key.payload.insert(key.payload.end(), head_.begin(), head_.end());
-    key.payload.insert(key.payload.end(), best.begin(), best.end());
-    key.payload.insert(key.payload.end(), tail_.begin(), tail_.end());
-    return key;
   }
 
- private:
-  void flatten(const std::vector<std::vector<std::size_t>>& arrangements) {
-    arrangements_ = arrangements.size();
-    perms_.reserve(arrangements_ * n_);
-    for (const std::vector<std::size_t>& perm : arrangements) {
-      perms_.insert(perms_.end(), perm.begin(), perm.end());
-    }
+  /// Least row-major flattening of R S, with each equal-extent group's
+  /// columns sorted, over the signed row permutations R.
+  void sorted_form(const MatI& space, std::vector<Int>& best) const {
+    const std::size_t m = space.rows();
+    const std::size_t n = n_;
+    thread_local std::vector<Int> cand;
+    thread_local std::vector<std::size_t> order;
+    cand.resize(m * n);
+    order.resize(m);
+    for (std::size_t r = 0; r < m; ++r) order[r] = r;
+    // Column a precedes column b when it is lexicographically smaller,
+    // read top to bottom.
+    auto column_less = [&](std::size_t a, std::size_t b) {
+      for (std::size_t r = 0; r < m; ++r) {
+        const Int x = cand[r * n + a];
+        const Int y = cand[r * n + b];
+        if (x != y) return x < y;
+      }
+      return false;
+    };
+    bool have_best = false;
+    do {
+      for (std::size_t signs = 0; signs < (std::size_t{1} << m); ++signs) {
+        for (std::size_t r = 0; r < m; ++r) {
+          const bool negate = ((signs >> r) & 1u) != 0;
+          for (std::size_t c = 0; c < n; ++c) {
+            const Int v = space(order[r], c);
+            cand[r * n + c] = negate ? exact::neg_checked(v) : v;
+          }
+        }
+        // Insertion-sort each group's columns in place (groups are small:
+        // their product of factorials is at most kMaxOrbitArrangements).
+        for (const std::vector<std::size_t>& group : groups_) {
+          for (std::size_t i = 1; i < group.size(); ++i) {
+            for (std::size_t j = i;
+                 j > 0 && column_less(group[j], group[j - 1]); --j) {
+              for (std::size_t r = 0; r < m; ++r) {
+                std::swap(cand[r * n + group[j]], cand[r * n + group[j - 1]]);
+              }
+            }
+          }
+        }
+        if (!have_best ||
+            std::lexicographical_compare(cand.begin(), cand.end(),
+                                         best.begin(), best.end())) {
+          std::copy(cand.begin(), cand.end(), best.begin());
+          have_best = true;
+        }
+      }
+    } while (std::next_permutation(order.begin(), order.end()));
   }
 
   ConflictKey::Kind kind_;
   std::size_t n_ = 0;
   std::size_t arrangements_ = 0;
   std::vector<std::size_t> perms_;  ///< arrangement a at [a * n, (a+1) * n)
-  std::vector<Int> head_;           ///< payload head: the extents
-  std::vector<Int> tail_;           ///< payload tail: D, column-major
+  /// Equal-extent column groups of two or more columns.
+  std::vector<std::vector<std::size_t>> groups_;
+  /// The arrangements are every within-group permutation of groups_.
+  bool full_product_ = false;
+  std::vector<Int> head_;  ///< payload head: the extents
+  std::vector<Int> tail_;  ///< payload tail: D, column-major
 };
+
+/// The rational row space of S as its primitive integer reduced row
+/// echelon form: row i is RREF row i scaled to a primitive integer vector
+/// with a positive pivot, and rows come in pivot order.  Two spaces with
+/// the same number of rows get the same form exactly when they span the
+/// same row space over Q (the RREF is unique).  Written row-major into
+/// `out`, rows(S) * cols(S) entries.  Returns false -- no key -- when S
+/// is rank-deficient or an intermediate entry overflows int64.
+inline bool row_space_key(const MatI& space, std::vector<Int>& out) {
+  const std::size_t m = space.rows();
+  const std::size_t n = space.cols();
+  out.resize(m * n);
+  for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t c = 0; c < n; ++c) out[r * n + c] = space(r, c);
+  }
+  auto make_primitive = [&](std::size_t r) {
+    Int g = 0;
+    for (std::size_t c = 0; c < n; ++c) g = exact::gcd_i64(g, out[r * n + c]);
+    if (g <= 1) return;
+    for (std::size_t c = 0; c < n; ++c) {
+      out[r * n + c] = exact::div_checked(out[r * n + c], g);
+    }
+  };
+  try {
+    std::size_t rank = 0;
+    for (std::size_t c = 0; c < n && rank < m; ++c) {
+      std::size_t p = rank;
+      while (p < m && out[p * n + c] == 0) ++p;
+      if (p == m) continue;
+      for (std::size_t e = 0; e < n && p != rank; ++e) {
+        std::swap(out[p * n + e], out[rank * n + e]);
+      }
+      make_primitive(rank);
+      if (out[rank * n + c] < 0) {
+        for (std::size_t e = 0; e < n; ++e) {
+          out[rank * n + e] = exact::neg_checked(out[rank * n + e]);
+        }
+      }
+      // Clear column c in every other row: row r becomes a r - b pivot
+      // with a > 0, so an earlier row keeps its positive pivot.
+      const Int pivot = out[rank * n + c];
+      for (std::size_t r = 0; r < m; ++r) {
+        const Int entry = out[r * n + c];
+        if (r == rank || entry == 0) continue;
+        const Int g = exact::gcd_i64(pivot, entry);
+        const Int a = exact::div_checked(pivot, g);
+        const Int b = exact::div_checked(entry, g);
+        for (std::size_t e = 0; e < n; ++e) {
+          out[r * n + e] =
+              exact::sub_checked(exact::mul_checked(a, out[r * n + e]),
+                                 exact::mul_checked(b, out[rank * n + e]));
+        }
+        make_primitive(r);
+      }
+      ++rank;
+    }
+    return rank == m;
+  } catch (const exact::OverflowError&) {
+    return false;
+  }
+}
 
 }  // namespace sysmap::mapping

@@ -1,7 +1,9 @@
 #include "search/pipeline.hpp"
 
 #include <algorithm>
+#include <array>
 #include <condition_variable>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -176,10 +178,141 @@ struct MappingPipeline::Fusion {
     const mapping::ConflictKey* key_;
   };
 
+  /// One solved rational row space, in a fixed-width record: the key is
+  /// the row count and S's primitive RREF (mapping::row_space_key), the
+  /// value the uncapped Procedure 5.1 answer that every S spanning it
+  /// shares.  A space whose RREF or answer does not fit is not memoized.
+  struct RowSpace {
+    /// rows * n: two rows up to n = 6, three up to n = 4.
+    static constexpr std::size_t kCells = 12;
+    /// n, at most kCells / 2 since the memo serves two rows or more.
+    static constexpr std::size_t kPi = kCells / 2;
+    std::array<std::int8_t, kCells> cells{};  ///< RREF, row-major
+    std::array<std::int8_t, kPi> pi{};
+    std::uint8_t rows = 0;
+    bool found = false;
+    std::int32_t objective = 0;  ///< f* when found, else the bound
+    std::uint32_t candidates = 0;
+
+    bool same_space(const RowSpace& other) const {
+      return rows == other.rows && cells == other.cells;
+    }
+    std::size_t hash() const {
+      std::uint64_t h = 1469598103934665603ull ^ rows;  // FNV-1a
+      for (std::int8_t v : cells) {
+        h ^= static_cast<std::uint8_t>(v);
+        h *= 1099511628211ull;
+      }
+      return static_cast<std::size_t>(h);
+    }
+  };
+  static_assert(sizeof(RowSpace) <= 28, "one memo record stays 28 bytes");
+
+  /// Open-addressing set of RowSpace records: the records live in a
+  /// chunked arena (std::deque, no per-entry heap node), the table holds
+  /// their indices plus one, 0 marking an empty slot, at load <= 3/4.
+  /// Measured on design_sweep, a std::unordered_map memo keyed by the
+  /// RREF raised peak RSS by 17 % over the memo-free build, these records
+  /// by 3-5 % (docs/PERF.md).
+  class RowSpaceMemo {
+   public:
+    const RowSpace* find(const RowSpace& key) const {
+      if (slots_.empty()) return nullptr;
+      const std::size_t mask = slots_.size() - 1;
+      for (std::size_t i = key.hash() & mask; slots_[i] != 0;
+           i = (i + 1) & mask) {
+        const RowSpace& record = records_[slots_[i] - 1];
+        if (record.same_space(key)) return &record;
+      }
+      return nullptr;
+    }
+
+    /// First writer wins: every writer of one row space stores the same
+    /// answer.
+    void insert(const RowSpace& record) {
+      if (find(record) != nullptr) return;
+      if (4 * (records_.size() + 1) > 3 * slots_.size()) {
+        grow(std::max<std::size_t>(64, 2 * slots_.size()));
+      }
+      records_.push_back(record);
+      place(static_cast<std::uint32_t>(records_.size()));
+    }
+
+    void clear() {
+      records_ = {};
+      slots_ = {};
+    }
+
+   private:
+    void place(std::uint32_t index) {
+      const std::size_t mask = slots_.size() - 1;
+      std::size_t i = records_[index - 1].hash() & mask;
+      while (slots_[i] != 0) i = (i + 1) & mask;
+      slots_[i] = index;
+    }
+
+    void grow(std::size_t size) {
+      slots_.assign(size, 0);
+      for (std::size_t r = 0; r < records_.size(); ++r) {
+        place(static_cast<std::uint32_t>(r + 1));
+      }
+    }
+
+    std::deque<RowSpace> records_;
+    std::vector<std::uint32_t> slots_;
+  };
+
+  /// S's record with no answer yet; nullopt when S has no row-space key
+  /// (rank-deficient, or an overflow) or the key or Pi would not fit.
+  static std::optional<RowSpace> row_space_of(const MatI& space) {
+    if (space.rows() * space.cols() > RowSpace::kCells ||
+        space.cols() > RowSpace::kPi) {
+      return std::nullopt;
+    }
+    thread_local std::vector<Int> rref;
+    if (!mapping::row_space_key(space, rref)) return std::nullopt;
+    RowSpace out;
+    out.rows = static_cast<std::uint8_t>(space.rows());
+    for (std::size_t i = 0; i < rref.size(); ++i) {
+      if (!std::in_range<std::int8_t>(rref[i])) return std::nullopt;
+      out.cells[i] = static_cast<std::int8_t>(rref[i]);
+    }
+    return out;
+  }
+
+  /// Fills in the answer of a solve; false when a value does not fit.
+  static bool record_answer(const SearchResult& result, Int bound,
+                            RowSpace& record) {
+    const Int objective = result.found ? result.objective : bound;
+    if (!std::in_range<std::int32_t>(objective) ||
+        !std::in_range<std::uint32_t>(result.candidates_tested)) {
+      return false;
+    }
+    for (std::size_t i = 0; result.found && i < result.pi.size(); ++i) {
+      if (!std::in_range<std::int8_t>(result.pi[i])) return false;
+      record.pi[i] = static_cast<std::int8_t>(result.pi[i]);
+    }
+    record.found = result.found;
+    record.objective = static_cast<std::int32_t>(objective);
+    record.candidates = static_cast<std::uint32_t>(result.candidates_tested);
+    return true;
+  }
+
+  /// What prepare() anchors a solve to.
+  struct Anchor {
+    /// The schedule-orbit canonicalizer, or null when the orbit cache
+    /// stands down for this algorithm and bound.
+    std::shared_ptr<const mapping::SpaceOrbitCanonicalizer> orbit;
+    /// Bumped at every re-anchor, so a solve never reads or writes the
+    /// row-space memo of another algorithm.
+    std::uint64_t generation = 0;
+  };
+
   std::mutex mu;
   std::condition_variable released;
   bool ready = false;
   bool prefix_ok = false;
+  std::uint64_t generation = 0;
   std::vector<Int> sig;  ///< n, extents, dependence matrix -- resets state
   /// Schedule-orbit keys of the anchored algorithm.  Shared, so a solve
   /// keeps its own algorithm's canonicalizer while another re-anchors.
@@ -188,16 +321,16 @@ struct MappingPipeline::Fusion {
   std::vector<std::uint64_t> cum;
   std::unordered_map<mapping::ConflictKey, Entry, mapping::ConflictKeyHash>
       entries;
+  RowSpaceMemo row_spaces;
   /// positive_orthant_forced per dependence matrix, so the fused ILP route
   /// pays its cone LPs once per D, not once per query.
   std::vector<std::pair<MatI, bool>> orthant_forced;
 
-  /// (Re)anchors the per-algorithm state; returns the algorithm's
-  /// schedule-orbit canonicalizer when the orbit cache (and its
-  /// stats-reproducing prefix) is usable for this algorithm + bound, else
-  /// null.
-  std::shared_ptr<const mapping::SpaceOrbitCanonicalizer> prepare(
-      const model::UniformDependenceAlgorithm& algo, Int resolved_max) {
+  /// (Re)anchors the per-algorithm state; the anchor carries the
+  /// algorithm's schedule-orbit canonicalizer when the orbit cache (and
+  /// its stats-reproducing prefix) is usable for this algorithm + bound.
+  Anchor prepare(const model::UniformDependenceAlgorithm& algo,
+                 Int resolved_max) {
     const model::IndexSet& set = algo.index_set();
     const MatI& d = algo.dependence_matrix();
     std::vector<Int> fresh;
@@ -214,6 +347,8 @@ struct MappingPipeline::Fusion {
     if (!ready || fresh != sig) {
       sig = std::move(fresh);
       entries.clear();
+      row_spaces.clear();
+      ++generation;
       schedule_orbit =
           std::make_shared<const mapping::SpaceOrbitCanonicalizer>(set, d);
       // A bound the prefix table does not fit, or a count that overflows
@@ -223,8 +358,23 @@ struct MappingPipeline::Fusion {
       prefix_ok = !cum.empty();
       ready = true;
     }
-    if (!prefix_ok) return nullptr;
-    return schedule_orbit;
+    return {prefix_ok ? schedule_orbit : nullptr, generation};
+  }
+
+  /// The stored answer for `key`'s row space under the anchor
+  /// `generation`, if any.
+  std::optional<RowSpace> recall(const RowSpace& key,
+                                 std::uint64_t anchored) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (anchored != generation) return std::nullopt;
+    const RowSpace* hit = row_spaces.find(key);
+    if (hit == nullptr) return std::nullopt;
+    return *hit;
+  }
+
+  void remember(const RowSpace& record, std::uint64_t anchored) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (anchored == generation) row_spaces.insert(record);
   }
 
   /// Memoized positive_orthant_forced(d); the LPs run outside the lock.
@@ -269,6 +419,21 @@ struct MappingPipeline::Fusion {
       }
       released.wait(lock);
     }
+  }
+
+  /// Enters an orbit whose answer the row-space memo already holds: the
+  /// orbit's first solve stores that answer, as its scan would have, and
+  /// counts the miss; a known or claimed orbit is left as it is.  So the
+  /// misses count the orbits entered, whatever the thread count.
+  void enter(const mapping::ConflictKey& key, bool found, Int objective,
+             Int bound) {
+    std::lock_guard<std::mutex> lock(mu);
+    auto [it, inserted] = entries.try_emplace(key);
+    if (!inserted) return;
+    SYSMAP_COUNT("search.pipeline.orbit_misses", 1);
+    it->second.found = found;
+    it->second.objective = objective;
+    it->second.bound = bound;
   }
 
   /// First-writer-wins with monotone strengthening: a found entry (the
@@ -462,19 +627,79 @@ std::optional<MappingSolution> MappingPipeline::solve(
   }
 
   // Pure Procedure 5.1 (also the fall-through after an unverified ILP).
-  // The schedule-orbit cache transfers one route-independent fact between
-  // candidates with equal schedule-orbit keys (SpaceOrbitCanonicalizer):
-  // the certified optimal objective f* of the full scan (or its
-  // nonexistence up to an exhausted bound).  A hit re-runs the search
-  // seeded at min_objective = f* on the ACTUAL S -- same winner, verdict
-  // and statistics as the cold scan, with every level below f* recovered
-  // from the closed-form prefix counts instead of re-screened.
+  // Two fused memos answer it before a scan.  The row-space memo first:
+  // an uncapped solve of a multi-row S whose rational row space an earlier
+  // solve answered takes that answer whole -- found, Pi, objective and
+  // candidates_tested -- and recomputes only the verdict, with one screen
+  // of Pi on the actual S.  Feasibility of Pi (Pi D > 0, rank [S; Pi] = k,
+  // conflict-freedom: the conflict vectors are the primitive gamma with
+  // S gamma = 0 and Pi gamma = 0) depends on S only through its row space,
+  // and so do F(S) and the pigeonhole start; the cone walk never reads S.
+  // So the walk, its first hit and its count are the same for every S of
+  // the class.  Only the witness and the array read S itself.  The memo
+  // stands down under a cap, a target (routing reads S D), after the ILP
+  // route ran, and for one-row S (the sweeps never repeat a row).
+  // Then the schedule-orbit cache, which transfers one route-independent
+  // fact between candidates with equal schedule-orbit keys
+  // (SpaceOrbitCanonicalizer): the certified optimal objective f* of the
+  // full scan (or its nonexistence up to an exhausted bound).  A hit
+  // re-runs the search seeded at min_objective = f* on the ACTUAL S --
+  // same winner, verdict and statistics as the cold scan, with every level
+  // below f* recovered from the closed-form prefix counts instead of
+  // re-screened.
   std::shared_ptr<const mapping::SpaceOrbitCanonicalizer> orbit;
+  std::uint64_t generation = 0;
+  std::optional<Fusion::RowSpace> row_space;
   if (fusion != nullptr && !options_.target) {
-    orbit = fusion->prepare(algo, resolved_max);
+    Fusion::Anchor anchor = fusion->prepare(algo, resolved_max);
+    orbit = std::move(anchor.orbit);
+    generation = anchor.generation;
+    const bool ilp_ran = use_ilp && ilp_applicable;
+    if (!capped && !ilp_ran && space.rows() >= 2 && k <= n) {
+      row_space = Fusion::row_space_of(space);
+    }
   }
   std::optional<mapping::ConflictKey> own_key;
   if (orbit_key == nullptr) orbit_key = &own_key;
+  if (row_space) {
+    const std::optional<Fusion::RowSpace> hit =
+        fusion->recall(*row_space, generation);
+    // The hit enters S's schedule orbit with the answer, so the orbit's
+    // later members hit it as they would after a scan.
+    auto enter_orbit = [&] {
+      if (!orbit) return;
+      if (!*orbit_key) *orbit_key = orbit->key(space);
+      fusion->enter(**orbit_key, hit->found, hit->objective, eff_max);
+    };
+    if (hit && !hit->found && hit->objective == eff_max) {
+      SYSMAP_COUNT("search.pipeline.row_space_hits", 1);
+      enter_orbit();
+      solution.candidates_tested = hit->candidates;
+      return solution;
+    }
+    if (hit && hit->found) {
+      VecI pi(hit->pi.begin(),
+              hit->pi.begin() + static_cast<std::ptrdiff_t>(n));
+      std::optional<mapping::ConflictVerdict> verdict =
+          shared_context()->screen(search_options.oracle, pi);
+      SYSMAP_CONTRACT(verdict.has_value(),
+                      "row-space memo promised Pi at "
+                          << hit->objective << " but its screen rejected it");
+      if (verdict) {
+        SYSMAP_COUNT("search.pipeline.row_space_hits", 1);
+        enter_orbit();
+        solution.found = true;
+        solution.pi = std::move(pi);
+        solution.objective = hit->objective;
+        solution.makespan = exact::add_checked(hit->objective, 1);
+        solution.verdict = std::move(*verdict);
+        solution.method_used = "Procedure 5.1";
+        solution.candidates_tested = hit->candidates;
+        finalize(algo, space, options_, solution);
+        return solution;
+      }
+    }
+  }
   std::optional<Fusion::Claim> claim;
   std::optional<Fusion::Entry> entry;
   if (orbit) {
@@ -556,11 +781,16 @@ std::optional<MappingSolution> MappingPipeline::solve(
     if (orbit) {
       fusion->store(**orbit_key, result.found, result.objective, eff_max);
     }
-    claim.reset();  // wakes the solves waiting for this orbit
     if (capped && !result.found && eff_max < resolved_max) {
       note_truncated();
     }
   }
+  // Stored before the claim drops, so a solve deferred on this orbit finds
+  // the row space when it resumes.
+  if (row_space && Fusion::record_answer(result, eff_max, *row_space)) {
+    fusion->remember(*row_space, generation);
+  }
+  claim.reset();  // wakes the solves waiting for this orbit
 
   solution.candidates_tested = result.candidates_tested;
   if (result.found) {

@@ -39,14 +39,33 @@
 //      reproduces the cold winner, verdict and statistics bit for bit
 //      while skipping every screen below f* (the level-prefix candidate
 //      counts are recovered from a closed-form DP, not by re-enumeration),
-//  (c) an optional caller-supplied incumbent cap on the objective
+//  (c) a row-space memo, checked before (b): an uncapped Procedure 5.1
+//      solve of an S with two or more rows whose rational row space (its
+//      primitive integer RREF, mapping::row_space_key) an earlier solve
+//      answered takes that answer -- found, Pi, objective and
+//      candidates_tested -- and recomputes only the verdict, with one
+//      FixedSpaceContext::screen of Pi on the actual S.  Exact because
+//      the feasible Pi at every level, F(S) and the cone walk depend on S
+//      only through its row space (Theorems 2.2 and 4.2: the conflict
+//      vectors are the primitive gamma with S gamma = 0 = Pi gamma).  It
+//      stands down under a cap, a target interconnect, one-row S, and
+//      after the ILP route ran.  Each row space is a fixed 28-byte record
+//      (int8 RREF cells and Pi) with no heap node of its own: on
+//      design_sweep it costs 3-5 % peak RSS over the memo-free build,
+//      where an unordered_map cost 17 %.  A space whose values do not fit
+//      int8 is not memoized.  A hit also enters S's schedule orbit with
+//      the answer, so the orbit-miss count is the same at every thread
+//      count,
+//  (d) an optional caller-supplied incumbent cap on the objective
 //      (Int cap) that truncates searches which provably cannot beat the
 //      best full mapping found so far.
 // Each schedule orbit is scanned ONCE, whatever the thread count: the
 // first solve that misses an orbit claims it, and a concurrent solve of
 // the same orbit waits for that scan (score) or hands the space back as
 // a Deferred to finish later as a hit (try_score / resume), so a sweep
-// worker keeps scoring other spaces meanwhile.
+// worker keeps scoring other spaces meanwhile.  A row-space answer is
+// stored before the orbit's claim drops, so a deferred space finds it
+// when it resumes.
 // Conflict verdicts are NOT memoized: every candidate is decided by
 // FixedSpaceContext::screen directly, exactly as on the cold path.  The
 // raw kernel-witness screen rejects almost every k <= n-2 candidate
@@ -56,8 +75,8 @@
 // field, for any interleaving of spaces and threads; the fusion state is
 // internally synchronized, so one const pipeline may be shared by every
 // worker of a sweep.  The fusion's advisory counts (orbit hits, misses
-// and deferrals, seeded re-runs, pigeonhole-skipped levels, cap
-// truncations) live only in the search.pipeline.* obs counters
+// and deferrals, seeded re-runs, row-space hits, pigeonhole-skipped
+// levels, cap truncations) live only in the search.pipeline.* obs counters
 // (docs/OBSERVABILITY.md).
 #pragma once
 

@@ -225,6 +225,12 @@ class SpaceEnumerator {
   std::uint64_t produced_ = 0;
 };
 
+/// rank(S) over Q, on machine words: for two rows, whether some 2 x 2
+/// minor is nonzero (in 128-bit products); otherwise checked int64
+/// fraction-free elimination with a BigInt restart on overflow.  Equals
+/// linalg::rank(to_bigint(S)); SpaceEnumerator's rank filter.
+std::size_t space_rank(const MatI& space);
+
 /// Enumerates candidate space matrices per the dedup rules above
 /// (materialized; thin wrapper over SpaceEnumerator).
 std::vector<MatI> candidate_spaces(std::size_t n,

@@ -289,17 +289,20 @@ TEST(ObsTest, FixedSpaceScreenCountersAndSweepStatistics) {
   std::vector<obs::Metric> all = obs::snapshot();
   EXPECT_GT(find_metric(all, "search.fixed_space.raw_rejects").total, 0u);
   EXPECT_GT(find_metric(all, "search.fixed_space.ladder_verdicts").total, 0u);
-  // The serial unit_cube(5,2) two-row sweep: the screen and the orbit
-  // canonicalizers change neither the orbit hits nor the leaves walked;
-  // the pigeonhole start level skips the leaves below each orbit's bound.
+  // The serial unit_cube(5,2) two-row sweep: 3010 of its 7260 spaces span
+  // a rational row space an earlier space answered, and take that answer
+  // with no walk; the other 4250 split into 101 orbit scans and 4149
+  // seeded orbit hits.  The pigeonhole start level skips the leaves below
+  // each orbit's bound.
   options.array_dims = 2;
   obs::reset();
   search::explore_design_space(model::unit_cube_algorithm(5, 2), options);
   all = obs::snapshot();
-  EXPECT_EQ(find_metric(all, "search.pipeline.orbit_hits").total, 7085u);
+  EXPECT_EQ(find_metric(all, "search.pipeline.row_space_hits").total, 3010u);
+  EXPECT_EQ(find_metric(all, "search.pipeline.orbit_hits").total, 4149u);
   EXPECT_EQ(find_metric(all, "search.space.orbit_hits").total, 7085u);
   EXPECT_EQ(find_metric(all, "search.procedure51.leaves_visited").total,
-            382622u);
+            158482u);
 }
 
 TEST(ObsTest, ParallelSweepScansEachOrbitOnce) {

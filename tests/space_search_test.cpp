@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "linalg/ops.hpp"
 #include "mapping/canonical_key.hpp"
 #include "model/gallery.hpp"
 #include "search/space_optimal.hpp"
@@ -213,6 +214,35 @@ TEST(SpaceOrbitKey, RowSignAndPermutationInvariant) {
             mapping::SpaceOrbitCanonicalizer(cube).key(b));
 }
 
+// The allowed column arrangements of the cost orbit (no dependence) or of
+// the schedule orbit: the equal-extent arrangements that fix the
+// dependence-column multiset.
+std::vector<std::vector<std::size_t>> reference_arrangements(
+    const model::IndexSet& set, std::size_t n, const MatI* dependence) {
+  std::vector<std::vector<std::size_t>> arrangements =
+      mapping::detail::equal_extent_arrangements(
+          set, n, mapping::kMaxOrbitArrangements);
+  if (dependence == nullptr) return arrangements;
+  std::vector<VecI> original(dependence->cols(), VecI(n));
+  for (std::size_t c = 0; c < dependence->cols(); ++c) {
+    for (std::size_t r = 0; r < n; ++r) original[c][r] = (*dependence)(r, c);
+  }
+  std::vector<VecI> sorted_original = original;
+  std::sort(sorted_original.begin(), sorted_original.end());
+  std::vector<std::vector<std::size_t>> valid;
+  for (const std::vector<std::size_t>& perm : arrangements) {
+    std::vector<VecI> permuted = original;
+    for (std::size_t c = 0; c < original.size(); ++c) {
+      for (std::size_t r = 0; r < n; ++r) {
+        permuted[c][r] = original[c][perm[r]];
+      }
+    }
+    std::sort(permuted.begin(), permuted.end());
+    if (permuted == sorted_original) valid.push_back(perm);
+  }
+  return valid;
+}
+
 // The per-call orbit minimization the canonicalizer replaced: rebuild the
 // arrangements, sort the rows of every arrangement as vectors, keep the
 // lexicographically least flattening.
@@ -220,31 +250,9 @@ std::vector<Int> reference_orbit_form(const MatI& space,
                                       const model::IndexSet& set,
                                       const MatI* dependence) {
   const std::size_t n = space.cols();
-  std::vector<std::vector<std::size_t>> arrangements =
-      mapping::detail::equal_extent_arrangements(
-          set, n, mapping::kMaxOrbitArrangements);
-  if (dependence != nullptr) {
-    std::vector<VecI> original(dependence->cols(), VecI(n));
-    for (std::size_t c = 0; c < dependence->cols(); ++c) {
-      for (std::size_t r = 0; r < n; ++r) original[c][r] = (*dependence)(r, c);
-    }
-    std::vector<VecI> sorted_original = original;
-    std::sort(sorted_original.begin(), sorted_original.end());
-    std::vector<std::vector<std::size_t>> valid;
-    for (const std::vector<std::size_t>& perm : arrangements) {
-      std::vector<VecI> permuted = original;
-      for (std::size_t c = 0; c < original.size(); ++c) {
-        for (std::size_t r = 0; r < n; ++r) {
-          permuted[c][r] = original[c][perm[r]];
-        }
-      }
-      std::sort(permuted.begin(), permuted.end());
-      if (permuted == sorted_original) valid.push_back(perm);
-    }
-    arrangements = valid;
-  }
   std::vector<Int> best;
-  for (const std::vector<std::size_t>& perm : arrangements) {
+  for (const std::vector<std::size_t>& perm :
+       reference_arrangements(set, n, dependence)) {
     std::vector<VecI> rows(space.rows(), VecI(n));
     for (std::size_t r = 0; r < space.rows(); ++r) {
       for (std::size_t c = 0; c < n; ++c) rows[r][c] = space(r, perm[c]);
@@ -263,19 +271,31 @@ std::vector<Int> reference_orbit_form(const MatI& space,
     }
     if (best.empty() || flat < best) best = flat;
   }
-  std::vector<Int> payload;
-  for (std::size_t i = 0; i < n; ++i) payload.push_back(set.mu(i));
-  payload.insert(payload.end(), best.begin(), best.end());
-  if (dependence != nullptr) {
-    for (std::size_t c = 0; c < dependence->cols(); ++c) {
-      for (std::size_t r = 0; r < n; ++r) {
-        payload.push_back((*dependence)(r, c));
-      }
-    }
-  }
-  return payload;
+  return best;
 }
 
+// The payload frame around the canonical form: extents first, then D
+// column-major for the schedule orbit.
+void expect_framed(const mapping::ConflictKey& key, const MatI& space,
+                   const model::IndexSet& set, const MatI* dependence) {
+  const std::size_t n = set.dimension();
+  const std::size_t cells = space.rows() * n;
+  const std::size_t tail = dependence == nullptr ? 0 : n * dependence->cols();
+  ASSERT_EQ(key.payload.size(), n + cells + tail);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(key.payload[i], set.mu(i));
+  for (std::size_t c = 0; dependence != nullptr && c < dependence->cols();
+       ++c) {
+    for (std::size_t r = 0; r < n; ++r) {
+      EXPECT_EQ(key.payload[n + cells + c * n + r], (*dependence)(r, c));
+    }
+  }
+}
+
+// The canonicalizer's key may pick a different orbit representative than
+// the per-call reference (it sorts columns instead of enumerating
+// arrangements where it can), but it must partition spaces exactly as the
+// reference does.  Each drawn space is paired with an image under a
+// random allowed move, so equal keys are exercised, not only unequal ones.
 TEST(SpaceOrbitKey, CanonicalizerMatchesPerCallReference) {
   std::mt19937_64 rng(20261018);
   auto draw = [&rng](Int lo, Int hi) {
@@ -292,18 +312,149 @@ TEST(SpaceOrbitKey, CanonicalizerMatchesPerCallReference) {
     }
     const mapping::SpaceOrbitCanonicalizer cost(set);
     const mapping::SpaceOrbitCanonicalizer schedule(set, d);
+    const std::vector<std::vector<std::size_t>> moves =
+        reference_arrangements(set, n, &d);
+    std::vector<MatI> spaces;
     for (int s = 0; s < 20; ++s) {
       MatI space(static_cast<std::size_t>(draw(1, 3)), n);
       for (std::size_t r = 0; r < space.rows(); ++r) {
         for (std::size_t c = 0; c < n; ++c) space(r, c) = draw(-2, 2);
       }
-      const mapping::ConflictKey a = cost.key(space);
-      EXPECT_EQ(a.kind, mapping::ConflictKey::Kind::kSpaceOrbit);
-      EXPECT_EQ(a.k, space.rows());
-      EXPECT_EQ(a.payload, reference_orbit_form(space, set, nullptr));
-      const mapping::ConflictKey b = schedule.key(space);
-      EXPECT_EQ(b.kind, mapping::ConflictKey::Kind::kScheduleOrbit);
-      EXPECT_EQ(b.payload, reference_orbit_form(space, set, &d));
+      // An image under a schedule-orbit move: a random allowed column
+      // arrangement, the rows reversed, and row 0 negated.
+      const std::vector<std::size_t>& perm =
+          moves[static_cast<std::size_t>(
+              draw(0, static_cast<Int>(moves.size()) - 1))];
+      MatI image(space.rows(), n);
+      for (std::size_t r = 0; r < space.rows(); ++r) {
+        for (std::size_t c = 0; c < n; ++c) {
+          const Int v = space(space.rows() - 1 - r, perm[c]);
+          image(r, c) = r == 0 ? -v : v;
+        }
+      }
+      spaces.push_back(space);
+      spaces.push_back(image);
+    }
+    std::vector<mapping::ConflictKey> cost_keys;
+    std::vector<mapping::ConflictKey> schedule_keys;
+    std::vector<std::vector<Int>> cost_refs;
+    std::vector<std::vector<Int>> schedule_refs;
+    for (const MatI& space : spaces) {
+      cost_keys.push_back(cost.key(space));
+      EXPECT_EQ(cost_keys.back().kind, mapping::ConflictKey::Kind::kSpaceOrbit);
+      EXPECT_EQ(cost_keys.back().k, space.rows());
+      expect_framed(cost_keys.back(), space, set, nullptr);
+      schedule_keys.push_back(schedule.key(space));
+      EXPECT_EQ(schedule_keys.back().kind,
+                mapping::ConflictKey::Kind::kScheduleOrbit);
+      expect_framed(schedule_keys.back(), space, set, &d);
+      cost_refs.push_back(reference_orbit_form(space, set, nullptr));
+      schedule_refs.push_back(reference_orbit_form(space, set, &d));
+    }
+    for (std::size_t i = 0; i < spaces.size(); ++i) {
+      EXPECT_EQ(cost_keys[i], cost_keys[i ^ 1]) << "trial " << trial;
+      EXPECT_EQ(schedule_keys[i], schedule_keys[i ^ 1]) << "trial " << trial;
+      for (std::size_t j = 0; j < spaces.size(); ++j) {
+        const bool same_rows = spaces[i].rows() == spaces[j].rows();
+        EXPECT_EQ(cost_keys[i] == cost_keys[j],
+                  same_rows && cost_refs[i] == cost_refs[j])
+            << "trial " << trial << " spaces " << i << ", " << j;
+        EXPECT_EQ(schedule_keys[i] == schedule_keys[j],
+                  same_rows && schedule_refs[i] == schedule_refs[j])
+            << "trial " << trial << " spaces " << i << ", " << j;
+      }
+    }
+  }
+}
+
+// Every signed row permutation R and allowed arrangement P applied to S:
+// the brute-force orbit the key must identify.
+std::vector<MatI> brute_force_orbit(
+    const MatI& space,
+    const std::vector<std::vector<std::size_t>>& arrangements) {
+  const std::size_t m = space.rows();
+  const std::size_t n = space.cols();
+  std::vector<std::size_t> order(m);
+  for (std::size_t r = 0; r < m; ++r) order[r] = r;
+  std::vector<MatI> orbit;
+  do {
+    for (std::size_t signs = 0; signs < (std::size_t{1} << m); ++signs) {
+      for (const std::vector<std::size_t>& perm : arrangements) {
+        MatI image(m, n);
+        for (std::size_t r = 0; r < m; ++r) {
+          for (std::size_t c = 0; c < n; ++c) {
+            const Int v = space(order[r], perm[c]);
+            image(r, c) = ((signs >> r) & 1u) != 0 ? -v : v;
+          }
+        }
+        orbit.push_back(std::move(image));
+      }
+    }
+  } while (std::next_permutation(order.begin(), order.end()));
+  return orbit;
+}
+
+// Generated (J, D, S) with 1-3 rows over equal and mixed extents, under
+// D = I (the arrangements are the full product, so the sorting key runs
+// where it is cheaper) and under a D that only a proper subgroup fixes
+// (enumeration): each key is invariant under every move applied
+// explicitly, and two spaces share a key exactly when a brute-force
+// search over the allowed moves relates them.
+TEST(SpaceOrbitKey, PartitionMatchesBruteForceOrbits) {
+  struct Box {
+    VecI mu;
+    MatI d;
+  };
+  const std::vector<Box> boxes = {
+      {VecI{3, 3, 3, 3}, MatI::identity(4)},
+      {VecI{3, 3, 3, 3}, MatI{{1, 0}, {0, 1}, {0, 0}, {0, 0}}},
+      {VecI{2, 2, 2, 2, 2}, MatI::identity(5)},
+      {VecI{2, 3, 2, 3, 2}, MatI::identity(5)},
+      {VecI{2, 3, 2, 3, 2}, MatI{{1, 1}, {0, 0}, {0, 1}, {0, 0}, {1, 0}}},
+  };
+  std::mt19937_64 rng(20261020);
+  auto draw = [&rng](Int lo, Int hi) {
+    return std::uniform_int_distribution<Int>(lo, hi)(rng);
+  };
+  for (const Box& box : boxes) {
+    const model::IndexSet set(box.mu);
+    const std::size_t n = box.mu.size();
+    for (const MatI* d : {static_cast<const MatI*>(nullptr), &box.d}) {
+      const mapping::SpaceOrbitCanonicalizer canon =
+          d == nullptr ? mapping::SpaceOrbitCanonicalizer(set)
+                       : mapping::SpaceOrbitCanonicalizer(set, *d);
+      const std::vector<std::vector<std::size_t>> moves =
+          reference_arrangements(set, n, d);
+      for (std::size_t rows = 1; rows <= 3; ++rows) {
+        // A small pool, so orbits collide: entries in {-1, 0, 1}, plus an
+        // explicit image of each drawn space.
+        std::vector<MatI> pool;
+        for (int s = 0; s < 8; ++s) {
+          MatI space(rows, n);
+          for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t c = 0; c < n; ++c) space(r, c) = draw(-1, 1);
+          }
+          const std::vector<MatI> orbit = brute_force_orbit(space, moves);
+          const mapping::ConflictKey key = canon.key(space);
+          for (const MatI& image : orbit) {
+            ASSERT_EQ(canon.key(image), key)
+                << "box " << &box - boxes.data() << " rows " << rows;
+          }
+          pool.push_back(space);
+          pool.push_back(orbit[static_cast<std::size_t>(
+              draw(0, static_cast<Int>(orbit.size()) - 1))]);
+        }
+        for (std::size_t i = 0; i < pool.size(); ++i) {
+          const std::vector<MatI> orbit = brute_force_orbit(pool[i], moves);
+          for (std::size_t j = 0; j < pool.size(); ++j) {
+            const bool related =
+                std::find(orbit.begin(), orbit.end(), pool[j]) != orbit.end();
+            EXPECT_EQ(canon.key(pool[i]) == canon.key(pool[j]), related)
+                << "box " << &box - boxes.data() << " rows " << rows
+                << " spaces " << i << ", " << j;
+          }
+        }
+      }
     }
   }
 }
@@ -323,6 +474,63 @@ TEST(SpaceEnumeratorTest, MatchesMaterializedOrder) {
   }
   EXPECT_FALSE(enumerator.next(next));
   EXPECT_EQ(enumerator.produced(), all.size());
+}
+
+// The enumerator's machine-word rank equals the exact BigInt rank on
+// every two- and three-row combination of the candidate-row pools: the
+// max_entry 1 pools for n <= 5, and the max_entry 2 pools for n <= 4 with
+// two rows and n <= 3 with three (n = 5 with max_entry 2 would be
+// C(1441, 3) combinations).
+TEST(SpaceEnumeratorTest, RawRankMatchesBigIntRank) {
+  struct Pool {
+    std::size_t n;
+    Int max_entry;
+    std::size_t max_dims;
+  };
+  const std::vector<Pool> pools = {{2, 1, 3}, {3, 1, 3}, {4, 1, 3},
+                                   {5, 1, 3}, {2, 2, 3}, {3, 2, 3},
+                                   {4, 2, 2}};
+  for (const Pool& p : pools) {
+    SpaceSearchOptions options;
+    options.max_entry = p.max_entry;
+    const std::vector<MatI> rows = candidate_spaces(p.n, options);
+    std::uint64_t checked = 0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      for (std::size_t j = i + 1; j < rows.size(); ++j) {
+        MatI two(2, p.n);
+        for (std::size_t c = 0; c < p.n; ++c) {
+          two(0, c) = rows[i](0, c);
+          two(1, c) = rows[j](0, c);
+        }
+        ASSERT_EQ(space_rank(two), linalg::rank(to_bigint(two)))
+            << "n " << p.n << " rows " << i << ", " << j;
+        ++checked;
+        for (std::size_t l = j + 1; p.max_dims >= 3 && l < rows.size(); ++l) {
+          MatI three(3, p.n);
+          for (std::size_t c = 0; c < p.n; ++c) {
+            three(0, c) = rows[i](0, c);
+            three(1, c) = rows[j](0, c);
+            three(2, c) = rows[l](0, c);
+          }
+          ASSERT_EQ(space_rank(three), linalg::rank(to_bigint(three)))
+              << "n " << p.n << " rows " << i << ", " << j << ", " << l;
+          ++checked;
+        }
+      }
+    }
+    EXPECT_GT(checked, 0u);
+  }
+  // Entries at the int64 edge: the 128-bit minors and the BigInt restart.
+  const Int big = std::numeric_limits<Int>::max();
+  const Int low = std::numeric_limits<Int>::min();
+  for (const MatI& edge :
+       {MatI{{big, low}, {low, big}}, MatI{{big, big}, {big, big}},
+        MatI{{low, 1}, {low, 1}},
+        MatI{{big, 1, 0}, {1, big, 1}, {big, big, 1}},
+        MatI{{big, big, 0}, {big, big, 0}, {0, 0, low}},
+        MatI{{0, 0, 0}, {0, 0, 0}}}) {
+    EXPECT_EQ(space_rank(edge), linalg::rank(to_bigint(edge)));
+  }
 }
 
 TEST(SpaceEnumeratorTest, LazyDrawFromAstronomicalCandidateSet) {
