@@ -9,17 +9,14 @@
 //     (enumerate_schedules_at) delegates here.
 //   - DependenceConeWalk, the same recursion with a prune hook: it cuts
 //     every subtree in which no completion can satisfy Pi D > 0 (Step
-//     5(1)) and counts the cut candidates in closed form from
-//     SuffixCounts.  procedure_5_1 walks this one.
-// The walks must agree candidate-for-candidate on every candidate that
-// passes Pi D > 0, and on the number of candidates once cut subtrees are
-// counted -- the bit-identical statistics (candidates_tested /
-// candidates_passed_dependence) of procedure_5_1 depend on it.
+//     5(1)).  procedure_5_1 walks this one.
+// The walks agree candidate-for-candidate on every candidate that passes
+// Pi D > 0, so a search that stops at its first feasible candidate finds
+// the same Pi on either walk.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "exact/checked.hpp"
@@ -38,9 +35,8 @@ struct NoPrune {
 
 // The walk below a node that has assigned coordinates 0..i-1 and has
 // `remaining` weight left (a leaf when i == n).  `prune.cut(i, remaining)`
-// may drop the whole subtree, a single leaf included (the hook accounts for
-// its candidates); `prune.assign(i, v)` announces pi_i = v before the walk
-// descends below coordinate i.
+// may drop the whole subtree, a single leaf included; `prune.assign(i, v)`
+// announces pi_i = v before the walk descends below coordinate i.
 // SYSMAP_RAW_FASTPATH(bounded: a <= remaining / mu keeps a * mu and the
 // new budget within [0, remaining]; negated magnitudes are nonnegative)
 template <typename Prune, typename Visit>
@@ -138,76 +134,27 @@ bool for_each_schedule_at(const model::IndexSet& set, Int f, Visit&& visit) {
   return detail::enumerate_rec(set, f, 0, pi, none, visit);
 }
 
-/// Suffix counts are tabulated only through this reduced level f / g
-/// (g = objective_level_stride): above it SuffixCounts stops growing, the
-/// cone prune and the pipeline's orbit prefix stand down, and a table
-/// never holds more than (2n + 1) * (kMaxCountLevels + 1) words.
-constexpr Int kMaxCountLevels = Int{1} << 18;
-
-/// Exact candidate counts of the enumeration tree: at(i, r) is the number
-/// of suffixes (pi_i, ..., pi_{n-1}) with sum_{l >= i} |pi_l| mu_l == r --
-/// the leaves below a walk node that has assigned coordinates 0..i-1 and
-/// has budget r left.  Row 0 is the per-level count (at(0, f) = the
-/// candidates for_each_schedule_at visits at level f).  The rows come from
-/// the generating function prod_{l >= i} (1 + 2 x^{mu_l} + 2 x^{2 mu_l} +
-/// ...), grown one level at a time with O(n) work per level, so a caller
-/// pays only for the levels it reaches.  Every mu_l is a multiple of
-/// g = gcd_l mu_l, so only the levels r = g r' are stored, tabulated with
-/// weights mu_l / g: a cube with mu = 16 needs 1/16 of the levels.  A
-/// count that overflows uint64 reads kSaturated.
-class SuffixCounts {
- public:
-  static constexpr std::uint64_t kSaturated =
-      std::numeric_limits<std::uint64_t>::max();
-
-  explicit SuffixCounts(const model::IndexSet& set);
-
-  /// True when grow(level) can succeed: level / g <= kMaxCountLevels.
-  bool fits(Int level) const { return level / g_ <= kMaxCountLevels; }
-
-  /// Tabulates every level through `level`; false (and no growth) when
-  /// !fits(level).
-  bool grow(Int level);
-
-  /// Requires 0 <= r <= the last level grown and i <= n.
-  std::uint64_t at(std::size_t i, Int r) const {
-    if (r % g_ != 0) return 0;
-    return ways_[static_cast<std::size_t>(r / g_) * (n_ + 1) + i];
-  }
-
- private:
-  std::size_t n_;
-  Int g_;
-  VecI mu_;                 ///< mu_l / g (mu_l <= 0 kept: pinned)
-  std::size_t levels_ = 0;  ///< reduced levels tabulated (0..levels_-1)
-  /// Level-major: ways_[r' * (n + 1) + i] = at(i, g r'); row n is [r' == 0].
-  std::vector<std::uint64_t> ways_;
-  /// Level-major: run_[r' * n + i] = sum_{a >= 1} at(i + 1, g r' - a mu_i).
-  std::vector<std::uint64_t> run_;
-};
-
 /// Procedure 5.1's candidate walk restricted to the dependence cone
 /// {Pi : Pi D > 0}.  Built once per search from (J, D), it visits every
 /// candidate of a level in for_each_schedule_at order EXCEPT whole
-/// subtrees in which no completion satisfies Pi D > 0, and adds each cut
-/// subtree's size to skipped().  The caller still applies its own checked
-/// Pi D > 0 test to the visited leaves; the cut leaves all fail it.
+/// subtrees in which no completion satisfies Pi D > 0.  The caller still
+/// applies its own checked Pi D > 0 test to the visited leaves; the cut
+/// leaves all fail it.
 ///
 /// Prune rule: with coordinates 0..i-1 assigned, partial delays
 /// p_j = sum_{l < i} pi_l d_lj and budget r left, every completion has
 /// Pi d_j <= p_j + r * max_{l >= i} |d_lj| / mu_l; the subtree is cut when
 /// that bound is <= 0 for some column j.  At a leaf (i = n, r = 0) the
 /// rule is Pi D > 0 itself, so at a level where the prune runs every
-/// visited candidate passes; for D = I only the positive orthant is
-/// walked.  A search that stops at its first hit therefore reports
-/// visited + skipped() == the candidates the plain walk visits: a cut
-/// subtree holds no hit, so it lies wholly before or after it.
+/// visited candidate passes, and a search's first visited leaf at such a
+/// level is its first feasible one; for D = I only the positive orthant is
+/// walked.
 ///
-/// The prune stands down (cuts nothing) at any level the suffix counts do
-/// not fit (SuffixCounts::fits) and at any level f where some column has
-/// sum_i floor(f / mu_i) |d_ij| > INT64_MAX: there a candidate's Pi d_j
-/// could overflow, and the caller's checked dependence test must see -- and
-/// throw on -- exactly the candidates the plain walk shows it.
+/// The prune stands down (cuts nothing) only at a level f where some
+/// column has sum_i floor(f / mu_i) |d_ij| > INT64_MAX: there a
+/// candidate's Pi d_j could overflow, and the caller's checked dependence
+/// test must see -- and throw on -- exactly the candidates the plain walk
+/// shows it.
 class DependenceConeWalk {
  public:
   DependenceConeWalk(const model::IndexSet& set, const MatI& dependence);
@@ -222,8 +169,8 @@ class DependenceConeWalk {
     return detail::enumerate_rec(*set_, f, 0, pi, *this, visit);
   }
 
-  /// Candidates inside cut subtrees, summed over every level walked.
-  std::uint64_t skipped() const { return skipped_; }
+  /// Subtrees cut, summed over every level walked.
+  std::uint64_t cuts() const { return cuts_; }
 
  private:
   template <typename Prune, typename Visit>
@@ -243,7 +190,8 @@ class DependenceConeWalk {
       // Best completion: p + remaining * num / den <= 0.
       if (static_cast<__int128>(remaining) * num_[base + j] <=
           -static_cast<__int128>(p) * den_[base + j]) {
-        return account(i, remaining);
+        ++cuts_;
+        return true;
       }
     }
     return false;
@@ -259,23 +207,6 @@ class DependenceConeWalk {
     for (std::size_t j = 0; j < m_; ++j) to[j] = from[j] + value * d[j];
   }
 
-  /// Adds the cut subtree's size to skipped(); false (cut refused) when
-  /// the count is saturated or the sum would overflow.  A leaf is one
-  /// candidate; a larger subtree reads the suffix counts, grown through
-  /// this level on the first such cut.
-  bool account(std::size_t i, Int remaining) {
-    std::uint64_t size = 1;
-    if (i < n_) {
-      if (!grown_ && !(grown_ = counts_.grow(level_))) return false;
-      size = counts_.at(i, remaining);
-      if (size == SuffixCounts::kSaturated) return false;
-    }
-    std::uint64_t total = 0;
-    if (__builtin_add_overflow(skipped_, size, &total)) return false;
-    skipped_ = total;
-    return true;
-  }
-
   const model::IndexSet* set_;
   std::size_t n_;
   std::size_t m_;
@@ -286,11 +217,8 @@ class DependenceConeWalk {
   std::vector<std::uint64_t> num_;
   VecI den_;
   VecI partial_;  ///< (n + 1) x m partial delays, row i = depth i
-  SuffixCounts counts_;
-  Int level_ = 0;
   bool active_ = false;
-  bool grown_ = false;  ///< counts_ tabulated through level_
-  std::uint64_t skipped_ = 0;
+  std::uint64_t cuts_ = 0;
 };
 
 }  // namespace sysmap::search

@@ -29,37 +29,13 @@ namespace {
 /// remembers.
 constexpr std::size_t kOrthantMemoCapacity = 16;
 
-// cum[q] = the candidates of levels 1..q * stride (every level that is not
-// a multiple of the stride is empty), q = 0..level / stride, summed from
-// row 0 of the suffix counts -- never by enumeration, which is what lets
-// a search that skips levels reproduce the cold scan's candidates_tested
-// without walking them.  Empty when the table does not reach `level` or a
-// sum saturates.
-std::vector<std::uint64_t> level_prefix(const model::IndexSet& set,
-                                        Int level) {
-  SuffixCounts counts(set);
-  if (!counts.grow(level)) return {};
-  const Int stride = objective_level_stride(set);
-  std::vector<std::uint64_t> cum(static_cast<std::size_t>(level / stride) + 1,
-                                 0);
-  for (std::size_t q = 1; q < cum.size(); ++q) {
-    const std::uint64_t at = counts.at(0, static_cast<Int>(q) * stride);
-    if (__builtin_add_overflow(cum[q - 1], at, &cum[q]) ||
-        cum[q] == SuffixCounts::kSaturated) {
-      return {};
-    }
-  }
-  return cum;
-}
-
 // The pigeonhole start level of a full Procedure 5.1 scan: the first
 // multiple of `stride` at or above F(S) - 1 (pipeline.hpp).  nullopt
 // starts the scan at level 1: F(S) cannot lift it, the image box does not
-// pack, |J| overflows a fiber count, the level lies beyond the count
-// tables, or a candidate below it could overflow a delay Pi d_j -- there
-// the cold scan's checked dependence test throws, and skipping the level
-// must not hide that.  Every |Pi d_j| at a level <= f is at most
-// sum_i floor(f / mu_i) |d_ij|.
+// pack, |J| overflows a fiber count, or a candidate below it could
+// overflow a delay Pi d_j -- there the cold scan's checked dependence test
+// throws, and skipping the level must not hide that.  Every |Pi d_j| at a
+// level <= f is at most sum_i floor(f / mu_i) |d_ij|.
 std::optional<Int> pigeonhole_level(const model::IndexSet& set,
                                     const MatI& space, const MatI& d,
                                     Int stride) {
@@ -81,7 +57,6 @@ std::optional<Int> pigeonhole_level(const model::IndexSet& set,
   const std::optional<Int> fiber = support::largest_fiber(set, space);
   if (!fiber || *fiber <= 1) return std::nullopt;
   const Int level = (*fiber - 2) / stride * stride + stride;
-  if (level / stride > kMaxCountLevels) return std::nullopt;
   try {
     for (std::size_t c = 0; c < d.cols(); ++c) {
       Int delay = 0;
@@ -135,7 +110,7 @@ void finalize(const model::UniformDependenceAlgorithm& algo,
 }  // namespace
 
 // Everything the fused path shares across score() calls.  All mutable
-// state sits behind one mutex (entries and their claims, prefix,
+// state sits behind one mutex (entries and their claims, row spaces,
 // signature); the searches themselves run outside the lock, so workers
 // serialize only on the map probes.  Advisory counts go to the
 // search.pipeline.* obs counters.
@@ -192,7 +167,6 @@ struct MappingPipeline::Fusion {
     std::uint8_t rows = 0;
     bool found = false;
     std::int32_t objective = 0;  ///< f* when found, else the bound
-    std::uint32_t candidates = 0;
 
     bool same_space(const RowSpace& other) const {
       return rows == other.rows && cells == other.cells;
@@ -206,7 +180,7 @@ struct MappingPipeline::Fusion {
       return static_cast<std::size_t>(h);
     }
   };
-  static_assert(sizeof(RowSpace) <= 28, "one memo record stays 28 bytes");
+  static_assert(sizeof(RowSpace) <= 24, "one memo record stays 24 bytes");
 
   /// Open-addressing set of RowSpace records: the records live in a
   /// chunked arena (std::deque, no per-entry heap node), the table holds
@@ -284,24 +258,19 @@ struct MappingPipeline::Fusion {
   static bool record_answer(const SearchResult& result, Int bound,
                             RowSpace& record) {
     const Int objective = result.found ? result.objective : bound;
-    if (!std::in_range<std::int32_t>(objective) ||
-        !std::in_range<std::uint32_t>(result.candidates_tested)) {
-      return false;
-    }
+    if (!std::in_range<std::int32_t>(objective)) return false;
     for (std::size_t i = 0; result.found && i < result.pi.size(); ++i) {
       if (!std::in_range<std::int8_t>(result.pi[i])) return false;
       record.pi[i] = static_cast<std::int8_t>(result.pi[i]);
     }
     record.found = result.found;
     record.objective = static_cast<std::int32_t>(objective);
-    record.candidates = static_cast<std::uint32_t>(result.candidates_tested);
     return true;
   }
 
   /// What prepare() anchors a solve to.
   struct Anchor {
-    /// The schedule-orbit canonicalizer, or null when the orbit cache
-    /// stands down for this algorithm and bound.
+    /// The schedule-orbit canonicalizer of the algorithm.
     std::shared_ptr<const mapping::SpaceOrbitCanonicalizer> orbit;
     /// Bumped at every re-anchor, so a solve never reads or writes the
     /// row-space memo of another algorithm.
@@ -311,14 +280,11 @@ struct MappingPipeline::Fusion {
   std::mutex mu;
   std::condition_variable released;
   bool ready = false;
-  bool prefix_ok = false;
   std::uint64_t generation = 0;
   std::vector<Int> sig;  ///< n, extents, dependence matrix -- resets state
   /// Schedule-orbit keys of the anchored algorithm.  Shared, so a solve
   /// keeps its own algorithm's canonicalizer while another re-anchors.
   std::shared_ptr<const mapping::SpaceOrbitCanonicalizer> schedule_orbit;
-  Int stride = 1;  ///< objective_level_stride of the anchored index set
-  std::vector<std::uint64_t> cum;
   std::unordered_map<mapping::ConflictKey, Entry, mapping::ConflictKeyHash>
       entries;
   RowSpaceMemo row_spaces;
@@ -326,15 +292,13 @@ struct MappingPipeline::Fusion {
   /// pays its cone LPs once per D, not once per query.
   std::vector<std::pair<MatI, bool>> orthant_forced;
 
-  /// (Re)anchors the per-algorithm state; the anchor carries the
-  /// algorithm's schedule-orbit canonicalizer when the orbit cache (and
-  /// its stats-reproducing prefix) is usable for this algorithm + bound.
-  Anchor prepare(const model::UniformDependenceAlgorithm& algo,
-                 Int resolved_max) {
+  /// (Re)anchors the per-algorithm state.  The pipeline's objective bound
+  /// is a function of the index set, so the signature need not hold it.
+  Anchor prepare(const model::UniformDependenceAlgorithm& algo) {
     const model::IndexSet& set = algo.index_set();
     const MatI& d = algo.dependence_matrix();
     std::vector<Int> fresh;
-    fresh.reserve(1 + set.dimension() + d.rows() * d.cols() + 1);
+    fresh.reserve(1 + set.dimension() + d.rows() * d.cols());
     fresh.push_back(static_cast<Int>(set.dimension()));
     for (std::size_t i = 0; i < set.dimension(); ++i) {
       fresh.push_back(set.mu(i));
@@ -342,7 +306,6 @@ struct MappingPipeline::Fusion {
     for (std::size_t r = 0; r < d.rows(); ++r) {
       for (std::size_t c = 0; c < d.cols(); ++c) fresh.push_back(d(r, c));
     }
-    fresh.push_back(resolved_max);
     std::lock_guard<std::mutex> lock(mu);
     if (!ready || fresh != sig) {
       sig = std::move(fresh);
@@ -351,14 +314,9 @@ struct MappingPipeline::Fusion {
       ++generation;
       schedule_orbit =
           std::make_shared<const mapping::SpaceOrbitCanonicalizer>(set, d);
-      // A bound the prefix table does not fit, or a count that overflows
-      // uint64, stands the cache down.
-      stride = objective_level_stride(set);
-      cum = level_prefix(set, resolved_max);
-      prefix_ok = !cum.empty();
       ready = true;
     }
-    return {prefix_ok ? schedule_orbit : nullptr, generation};
+    return {schedule_orbit, generation};
   }
 
   /// The stored answer for `key`'s row space under the anchor
@@ -457,13 +415,6 @@ struct MappingPipeline::Fusion {
     } else if (!cur.found && e.bound > cur.bound) {
       cur.bound = e.bound;
     }
-  }
-
-  /// Candidates the serial sweep visits at levels 1..f-1 / 1..f.  Callers
-  /// guarantee prefix_ok and the argument within the built range.
-  std::uint64_t below(Int f) const { return through(f - 1); }
-  std::uint64_t through(Int f) const {
-    return cum[static_cast<std::size_t>(f / stride)];
   }
 };
 
@@ -629,29 +580,28 @@ std::optional<MappingSolution> MappingPipeline::solve(
   // Pure Procedure 5.1 (also the fall-through after an unverified ILP).
   // Two fused memos answer it before a scan.  The row-space memo first:
   // an uncapped solve of a multi-row S whose rational row space an earlier
-  // solve answered takes that answer whole -- found, Pi, objective and
-  // candidates_tested -- and recomputes only the verdict, with one screen
-  // of Pi on the actual S.  Feasibility of Pi (Pi D > 0, rank [S; Pi] = k,
-  // conflict-freedom: the conflict vectors are the primitive gamma with
-  // S gamma = 0 and Pi gamma = 0) depends on S only through its row space,
-  // and so do F(S) and the pigeonhole start; the cone walk never reads S.
-  // So the walk, its first hit and its count are the same for every S of
-  // the class.  Only the witness and the array read S itself.  The memo
-  // stands down under a cap, a target (routing reads S D), after the ILP
-  // route ran, and for one-row S (the sweeps never repeat a row).
+  // solve answered takes that answer whole -- found, Pi and objective --
+  // and recomputes only the verdict, with one screen of Pi on the actual
+  // S.  Feasibility of Pi (Pi D > 0, rank [S; Pi] = k, conflict-freedom:
+  // the conflict vectors are the primitive gamma with S gamma = 0 and
+  // Pi gamma = 0) depends on S only through its row space, and so do F(S)
+  // and the pigeonhole start; the cone walk never reads S.  So the walk
+  // and its first hit are the same for every S of the class.  Only the
+  // witness and the array read S itself.  The memo stands down under a
+  // cap, a target (routing reads S D), after the ILP route ran, and for
+  // one-row S (the sweeps never repeat a row).
   // Then the schedule-orbit cache, which transfers one route-independent
   // fact between candidates with equal schedule-orbit keys
   // (SpaceOrbitCanonicalizer): the certified optimal objective f* of the
   // full scan (or its nonexistence up to an exhausted bound).  A hit
   // re-runs the search seeded at min_objective = f* on the ACTUAL S --
-  // same winner, verdict and statistics as the cold scan, with every level
-  // below f* recovered from the closed-form prefix counts instead of
+  // same winner and verdict as the cold scan, with no level below f*
   // re-screened.
   std::shared_ptr<const mapping::SpaceOrbitCanonicalizer> orbit;
   std::uint64_t generation = 0;
   std::optional<Fusion::RowSpace> row_space;
   if (fusion != nullptr && !options_.target) {
-    Fusion::Anchor anchor = fusion->prepare(algo, resolved_max);
+    Fusion::Anchor anchor = fusion->prepare(algo);
     orbit = std::move(anchor.orbit);
     generation = anchor.generation;
     const bool ilp_ran = use_ilp && ilp_applicable;
@@ -674,7 +624,6 @@ std::optional<MappingSolution> MappingPipeline::solve(
     if (hit && !hit->found && hit->objective == eff_max) {
       SYSMAP_COUNT("search.pipeline.row_space_hits", 1);
       enter_orbit();
-      solution.candidates_tested = hit->candidates;
       return solution;
     }
     if (hit && hit->found) {
@@ -694,7 +643,6 @@ std::optional<MappingSolution> MappingPipeline::solve(
         solution.makespan = exact::add_checked(hit->objective, 1);
         solution.verdict = std::move(*verdict);
         solution.method_used = "Procedure 5.1";
-        solution.candidates_tested = hit->candidates;
         finalize(algo, space, options_, solution);
         return solution;
       }
@@ -721,7 +669,6 @@ std::optional<MappingSolution> MappingPipeline::solve(
                           << entry->objective
                           << " but the seeded search disagreed");
       if (seeded.found && seeded.objective == entry->objective) {
-        seeded.candidates_tested += fusion->below(entry->objective);
         result = std::move(seeded);
         resolved = true;
         SYSMAP_COUNT("search.pipeline.seeded_searches", 1);
@@ -732,7 +679,6 @@ std::optional<MappingSolution> MappingPipeline::solve(
     } else {
       // The certified optimum lies beyond this call's bound: the cold
       // scan would exhaust every level up to eff_max and find nothing.
-      result.candidates_tested = fusion->through(eff_max);
       resolved = true;
       if (capped && entry->objective > cap &&
           entry->objective <= resolved_max) {
@@ -741,42 +687,26 @@ std::optional<MappingSolution> MappingPipeline::solve(
     }
   } else if (entry && !entry->found && eff_max <= entry->bound) {
     // Certified: no feasible Pi at any level <= entry->bound.
-    result.candidates_tested = fusion->through(eff_max);
     resolved = true;
     if (capped && eff_max < resolved_max) {
       note_truncated();
     }
   }
   if (!resolved) {
-    // The full scan starts at the pigeonhole level; the candidates of the
-    // skipped levels come from the prefix counts (the orbit's table when
-    // fused, a local one otherwise).
+    // The full scan starts at the pigeonhole level.
     const Int stride = objective_level_stride(set);
     // (k > n is left to procedure_5_1, which rejects it.)
     const std::optional<Int> start =
         k <= n ? pigeonhole_level(set, space, d, stride) : std::nullopt;
-    std::optional<std::uint64_t> skipped;
     if (start && *start > stride) {
-      const Int last = std::min(*start - 1, eff_max);
-      if (orbit) {
-        skipped = fusion->through(last);
-      } else if (std::vector<std::uint64_t> cum = level_prefix(set, last);
-                 !cum.empty()) {
-        skipped = cum.back();
-      }
-      if (skipped) {
-        SYSMAP_COUNT("search.pipeline.pigeonhole_levels_skipped",
-                     static_cast<std::uint64_t>(last / stride));
-      }
+      SYSMAP_COUNT("search.pipeline.pigeonhole_levels_skipped",
+                   static_cast<std::uint64_t>(
+                       std::min(*start - 1, eff_max) / stride));
     }
-    if (skipped && *start > eff_max) {
-      // No level up to eff_max can hold a conflict-free Pi: the scan would
-      // exhaust them all and find nothing.
-      result.candidates_tested = *skipped;
-    } else {
-      if (skipped) search_options.min_objective = *start;
+    // Past eff_max no level can hold a conflict-free Pi: nothing to scan.
+    if (!start || *start <= eff_max) {
+      if (start) search_options.min_objective = *start;
       result = procedure_5_1(algo, space, search_options);
-      if (skipped) result.candidates_tested += *skipped;
     }
     if (orbit) {
       fusion->store(**orbit_key, result.found, result.objective, eff_max);

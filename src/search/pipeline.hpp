@@ -17,14 +17,13 @@
 // f* >= F(S) - 1.  Every full Procedure 5.1 scan (cold, fused orbit miss,
 // fall-through after an unverified ILP) therefore starts at the first
 // objective level on the stride that is >= F(S) - 1
-// (support::largest_fiber), and the skipped levels' candidates are added
-// to candidates_tested from the closed-form level counts, so every field
-// equals the scan from level 1.  When that level lies beyond the bound,
-// the search returns not-found without scanning.  The scan starts at
-// level 1 instead when a bound on F(S) from S alone shows it cannot lift
-// the start (no walk of J then), the image box does not pack, the level
-// lies beyond the count tables, or a skipped candidate's Pi D could
-// overflow.  The ILP route keeps its own lower bound.
+// (support::largest_fiber); the skipped levels hold no feasible Pi, so
+// the answer equals the scan from level 1.  When that level lies beyond
+// the bound, the search returns not-found without scanning.  The scan
+// starts at level 1 instead when a bound on F(S) from S alone shows it
+// cannot lift the start (no walk of J then), the image box does not pack,
+// or a skipped candidate's Pi D could overflow (the scan from level 1
+// would throw there).  The ILP route keeps its own lower bound.
 //
 // COLD vs FUSED.  find_time_optimal() is the stateless cold path --
 // byte-for-byte the old core::Mapper::find_time_optimal, preserved as the
@@ -36,20 +35,19 @@
 //      (mapping::SpaceOrbitCanonicalizer, built once per algorithm) to
 //      the certified optimal objective f* (or to "none up to bound B"); a
 //      hit re-runs the search seeded at min_objective = f*, which
-//      reproduces the cold winner, verdict and statistics bit for bit
-//      while skipping every screen below f* (the level-prefix candidate
-//      counts are recovered from a closed-form DP, not by re-enumeration),
+//      reproduces the cold winner and verdict while skipping every screen
+//      below f*,
 //  (c) a row-space memo, checked before (b): an uncapped Procedure 5.1
 //      solve of an S with two or more rows whose rational row space (its
 //      primitive integer RREF, mapping::row_space_key) an earlier solve
-//      answered takes that answer -- found, Pi, objective and
-//      candidates_tested -- and recomputes only the verdict, with one
-//      FixedSpaceContext::screen of Pi on the actual S.  Exact because
+//      answered takes that answer -- found, Pi and objective -- and
+//      recomputes only the verdict, with one FixedSpaceContext::screen
+//      of Pi on the actual S.  Exact because
 //      the feasible Pi at every level, F(S) and the cone walk depend on S
 //      only through its row space (Theorems 2.2 and 4.2: the conflict
 //      vectors are the primitive gamma with S gamma = 0 = Pi gamma).  It
 //      stands down under a cap, a target interconnect, one-row S, and
-//      after the ILP route ran.  Each row space is a fixed 28-byte record
+//      after the ILP route ran.  Each row space is a fixed 24-byte record
 //      (int8 RREF cells and Pi) with no heap node of its own: on
 //      design_sweep it costs 3-5 % peak RSS over the memo-free build,
 //      where an unordered_map cost 17 %.  A space whose values do not fit
@@ -71,10 +69,11 @@
 // raw kernel-witness screen rejects almost every k <= n-2 candidate
 // faster than a verdict memo could look it up (docs/PERF.md, "Why there
 // is no verdict cache").
-// score() without a cap is bit-identical to find_time_optimal() in every
-// field, for any interleaving of spaces and threads; the fusion state is
-// internally synchronized, so one const pipeline may be shared by every
-// worker of a sweep.  The fusion's advisory counts (orbit hits, misses
+// score() without a cap returns the answer of find_time_optimal() -- every
+// field but the advisory candidates_tested, which counts only the leaves
+// the call walked -- for any interleaving of spaces and threads; the
+// fusion state is internally synchronized, so one const pipeline may be
+// shared by every worker of a sweep.  The fusion's advisory counts (orbit hits, misses
 // and deferrals, seeded re-runs, row-space hits, pigeonhole-skipped
 // levels, cap truncations) live only in the search.pipeline.* obs counters
 // (docs/OBSERVABILITY.md).
@@ -127,18 +126,26 @@ struct MappingSolution {
   std::string method_used;
   std::optional<systolic::ArrayDesign> array;
   std::optional<systolic::SimulationReport> simulation;
+  /// Advisory: the Procedure 5.1 leaves this call visited (certification
+  /// sweep, seeded re-run or full scan); 0 when a fused memo answered the
+  /// call or no scan ran.  Not part of the answer.
   std::uint64_t candidates_tested = 0;
   std::uint64_t ilp_nodes = 0;
   /// Advisory, fused path only: the incumbent cap truncated this search
   /// before its heuristic bound (found stays false; the space provably
-  /// cannot beat the incumbent objective).  EXCLUDED from the
-  /// bit-identical contract -- the cold path never sets it.
+  /// cannot beat the incumbent objective).  The cold path never sets it.
   bool truncated_by_cap = false;
 
-  /// Compares every field, truncated_by_cap included: a caller comparing
-  /// a capped score() against the cold path clears that flag first.
-  friend bool operator==(const MappingSolution&,
-                         const MappingSolution&) = default;
+  /// Compares the answer fields, truncated_by_cap included (a caller
+  /// comparing a capped score() against the cold path clears that flag
+  /// first); candidates_tested is advisory and not compared.
+  friend bool operator==(const MappingSolution& a, const MappingSolution& b) {
+    return a.found == b.found && a.pi == b.pi && a.objective == b.objective &&
+           a.makespan == b.makespan && a.verdict == b.verdict &&
+           a.method_used == b.method_used && a.array == b.array &&
+           a.simulation == b.simulation && a.ilp_nodes == b.ilp_nodes &&
+           a.truncated_by_cap == b.truncated_by_cap;
+  }
 };
 
 class MappingPipeline {
@@ -162,7 +169,7 @@ class MappingPipeline {
   struct FusionOptions {};
 
   /// Arms the fused path.  Call once, before the first score(); the
-  /// per-algorithm state (orbit entries, level-prefix counts) resets
+  /// per-algorithm state (orbit entries, row-space answers) resets
   /// automatically when score() sees a different algorithm.  The
   /// schedule-orbit cache (b) is always on, except with a target
   /// interconnect: routing reads S D, which the orbit moves do not
@@ -172,9 +179,9 @@ class MappingPipeline {
 
   static constexpr Int kNoCap = 0;
 
-  /// Fused scoring.  With cap == kNoCap the result is bit-identical to
-  /// find_time_optimal() in every non-advisory field.  A positive cap is
-  /// an INCLUSIVE incumbent bound on the objective: mappings with
+  /// Fused scoring.  With cap == kNoCap the result equals
+  /// find_time_optimal() (operator==).  A positive cap is an INCLUSIVE
+  /// incumbent bound on the objective: mappings with
   /// objective <= cap are returned exactly as the cold path would return
   /// them; spaces whose optimum provably exceeds the cap come back
   /// found = false (truncated_by_cap set when the heuristic bound alone

@@ -85,9 +85,7 @@ SearchResult procedure_5_1(const model::UniformDependenceAlgorithm& algo,
   const Int stride = objective_level_stride(set);
 
   // Step 5(1) is applied to whole subtrees first: the cone walk never
-  // visits a subtree in which no completion satisfies Pi D > 0 and counts
-  // its candidates in closed form instead, so candidates_tested matches
-  // the plain walk exactly.
+  // visits a subtree in which no completion satisfies Pi D > 0.
   DependenceConeWalk walk(set, d);
   SearchResult result;
   for (Int f = std::max<Int>(options.min_objective, 1); f <= max_objective;
@@ -98,7 +96,6 @@ SearchResult procedure_5_1(const model::UniformDependenceAlgorithm& algo,
       ++result.candidates_tested;
       // (1) Pi D > 0.
       if (!schedule::respects_dependences(pi, d)) return true;
-      ++result.candidates_passed_dependence;
       // (2)+(3) fused: rank screen (echelon replay, or the cofactor
       // product itself for k = n-1) plus the conflict oracle; rejected
       // candidates skip verdict materialization entirely.
@@ -124,8 +121,7 @@ SearchResult procedure_5_1(const model::UniformDependenceAlgorithm& algo,
     if (found_at_level) break;
   }
   SYSMAP_COUNT("search.procedure51.leaves_visited", result.candidates_tested);
-  SYSMAP_COUNT("search.procedure51.cone_skipped", walk.skipped());
-  result.candidates_tested += walk.skipped();
+  SYSMAP_COUNT("search.procedure51.cone_cuts", walk.cuts());
 #if SYSMAP_CONTRACTS_ACTIVE
   if (result.found) {
     // Procedure 5.1 postconditions: the winning Pi really costs f, keeps

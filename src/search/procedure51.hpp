@@ -15,9 +15,10 @@
 //
 // The serial search walks each level with search::DependenceConeWalk
 // (search/enumerate.hpp), which applies condition (1) to whole subtrees:
-// a subtree in which no completion satisfies Pi D > 0 is never visited,
-// and its candidates are added to candidates_tested in closed form.  The
-// statistics therefore equal those of a walk over every candidate.
+// a subtree in which no completion satisfies Pi D > 0 is never visited.
+// The answer (found, Pi, objective, verdict, routing) is the first
+// feasible candidate of a walk over every candidate; candidates_tested is
+// advisory and counts only the leaves this call visited.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +53,7 @@ struct SearchOptions {
   /// Require routability on this target array (condition 4); nullopt
   /// designs a dedicated array instead (conditions 1-3 only).
   std::optional<schedule::Interconnect> target;
-  /// Inert; kept so sysbench compiles. ROADMAP item 3 deletes it.
+  /// Inert; kept so sysbench compiles. ROADMAP item 1 deletes it.
   VerdictCache* verdict_cache = nullptr;
   /// Optional caller-owned search::FixedSpaceContext for this exact
   /// (J, S) pair, borrowed for the duration of the call; nullptr lets the
@@ -71,10 +72,17 @@ struct SearchResult {
   Int makespan = 0;                   ///< t = f + 1
   mapping::ConflictVerdict verdict;   ///< rule that certified Pi
   std::optional<schedule::Routing> routing;  ///< when target was given
+  /// Advisory: the leaves this call's cone walk visited (its
+  /// search.procedure51.leaves_visited record).  Not part of the answer:
+  /// a walk that starts higher or prunes more visits fewer.
   std::uint64_t candidates_tested = 0;
-  std::uint64_t candidates_passed_dependence = 0;
 
-  friend bool operator==(const SearchResult&, const SearchResult&) = default;
+  /// Compares the answer fields; candidates_tested is advisory.
+  friend bool operator==(const SearchResult& a, const SearchResult& b) {
+    return a.found == b.found && a.pi == b.pi && a.objective == b.objective &&
+           a.makespan == b.makespan && a.verdict == b.verdict &&
+           a.routing == b.routing;
+  }
 };
 
 /// The objective bound a search applies when SearchOptions::max_objective

@@ -1,9 +1,9 @@
 // Dependence-cone walk: the pruned Procedure-5.1 enumeration must visit
-// every candidate that passes Pi D > 0, in the plain walk's order, and
-// account for every candidate it skips, so the serial search reports
-// exactly the statistics of a walk over every candidate.  Differential
-// against the unpruned for_each_schedule_at walk and the unpruned
-// from-scratch Procedure 5.1 of reference_scan.hpp, under every oracle.
+// exactly the candidates that pass Pi D > 0, in the plain walk's order,
+// so the serial search finds the answer of a walk over every candidate.
+// Differential against the unpruned for_each_schedule_at walk and the
+// unpruned from-scratch Procedure 5.1 of reference_scan.hpp, under every
+// oracle.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -69,56 +69,27 @@ VecI random_mu(std::mt19937& rng, std::size_t n, Int hi) {
   return mu;
 }
 
-// Walks level f both ways and checks the cone walk's contract: its
-// visited leaves are a subsequence of the plain walk, every plain leaf it
-// skips fails Pi D > 0, and visited + skipped is the plain count.
+// The plain walk's leaves at level f that pass Pi D > 0, in plain order.
+std::vector<VecI> feasible_level(const model::IndexSet& set, const MatI& d,
+                                 Int f) {
+  std::vector<VecI> out;
+  for (VecI& pi : plain_level(set, f)) {
+    if (schedule::respects_dependences(pi, d)) out.push_back(std::move(pi));
+  }
+  return out;
+}
+
+// Walks level f both ways and checks the cone walk's contract where its
+// prune runs: it visits exactly the plain walk's leaves that pass
+// Pi D > 0, in plain order.
 void expect_walk_matches(const model::IndexSet& set, const MatI& d, Int f,
                          DependenceConeWalk& walk, const std::string& label) {
-  const std::vector<VecI> all = plain_level(set, f);
   std::vector<VecI> visited;
-  const std::uint64_t skipped0 = walk.skipped();
   EXPECT_TRUE(walk.for_each_at(f, [&](const VecI& pi) {
     visited.push_back(pi);
     return true;
   }));
-  const std::uint64_t skipped = walk.skipped() - skipped0;
-  EXPECT_EQ(visited.size() + skipped, all.size()) << label;
-  std::size_t v = 0;
-  for (const VecI& pi : all) {
-    if (v < visited.size() && visited[v] == pi) {
-      ++v;
-      continue;
-    }
-    EXPECT_FALSE(schedule::respects_dependences(pi, d))
-        << label << " skipped a candidate that passes Pi D > 0";
-  }
-  EXPECT_EQ(v, visited.size()) << label << " visited out of plain order";
-}
-
-TEST(ConeWalk, SuffixCountsMatchEnumeration) {
-  std::mt19937 rng(20261017);
-  std::uniform_int_distribution<int> dim_dist(1, 5);
-  for (int trial = 0; trial < 30; ++trial) {
-    const std::size_t n = static_cast<std::size_t>(dim_dist(rng));
-    const VecI mu = random_mu(rng, n, 4);
-    SuffixCounts counts{model::IndexSet(mu)};
-    ASSERT_TRUE(counts.grow(9));
-    for (std::size_t i = 0; i <= n; ++i) {
-      // Row i counts the enumeration over coordinates i..n-1 alone.
-      const VecI tail(mu.begin() + static_cast<std::ptrdiff_t>(i), mu.end());
-      for (Int r = 0; r <= 9; ++r) {
-        std::uint64_t expected = r == 0 ? 1 : 0;
-        if (!tail.empty()) {
-          expected = plain_level(model::IndexSet(tail), r).size();
-        }
-        EXPECT_EQ(counts.at(i, r), expected)
-            << "trial " << trial << " i=" << i << " r=" << r;
-      }
-    }
-  }
-  SuffixCounts capped{model::IndexSet(VecI{1, 1})};
-  EXPECT_FALSE(capped.grow(kMaxCountLevels + 1));
-  EXPECT_TRUE(capped.grow(kMaxCountLevels));
+  EXPECT_EQ(visited, feasible_level(set, d, f)) << label;
 }
 
 TEST(ConeWalk, RandomWalksMatchPlainWalk) {
@@ -137,9 +108,9 @@ TEST(ConeWalk, RandomWalksMatchPlainWalk) {
   }
 }
 
-TEST(ConeWalk, AbortAtFirstHitCountsItsPlainPosition) {
-  // The search stops at its first hit: visited + skipped must then equal
-  // the hit's 1-based position in the plain walk.
+TEST(ConeWalk, AbortAtFirstHitVisitsTheHitFirst) {
+  // The search stops at its first hit: the hit is the plain walk's first
+  // leaf that passes Pi D > 0, and the cone walk visits no leaf before it.
   std::mt19937 rng(20261019);
   std::uniform_int_distribution<int> dim_dist(1, 5);
   for (int trial = 0; trial < 120; ++trial) {
@@ -166,11 +137,11 @@ TEST(ConeWalk, AbortAtFirstHitCountsItsPlainPosition) {
           "trial " + std::to_string(trial) + " f=" + std::to_string(f);
       if (position == all.size()) {
         EXPECT_TRUE(completed) << label;
-        EXPECT_EQ(visited + walk.skipped(), all.size()) << label;
+        EXPECT_EQ(visited, 0u) << label;
       } else {
         EXPECT_FALSE(completed) << label;
         EXPECT_EQ(hit, all[position]) << label;
-        EXPECT_EQ(visited + walk.skipped(), position + 1) << label;
+        EXPECT_EQ(visited, 1u) << label;
       }
     }
   }
@@ -192,17 +163,16 @@ TEST(ConeWalk, IdentityWalksOnlyThePositiveOrthant) {
 }
 
 TEST(ConeWalk, ZeroColumnSkipsEveryCandidate) {
+  // The zero column fails at the root: one cut per level.
   const model::IndexSet set(VecI{2, 1, 3});
   DependenceConeWalk walk(set, MatI{{1, 0}, {-1, 0}, {2, 0}});
-  std::uint64_t total = 0;
   for (Int f = 0; f <= 9; ++f) {
-    total += plain_level(set, f).size();
     EXPECT_TRUE(walk.for_each_at(f, [](const VecI&) {
       ADD_FAILURE() << "visited a candidate of an empty cone";
       return true;
     }));
   }
-  EXPECT_EQ(walk.skipped(), total);
+  EXPECT_EQ(walk.cuts(), 10u);
 }
 
 TEST(ConeWalk, NoDependenceColumnsVisitsEveryCandidate) {
@@ -216,15 +186,12 @@ TEST(ConeWalk, NoDependenceColumnsVisitsEveryCandidate) {
     });
     EXPECT_EQ(visited, plain_level(set, f)) << "f=" << f;
   }
-  EXPECT_EQ(walk.skipped(), 0u);
+  EXPECT_EQ(walk.cuts(), 0u);
 }
 
 void expect_same(const SearchResult& a, const SearchResult& b,
                  const std::string& label) {
   ASSERT_EQ(a.found, b.found) << label;
-  EXPECT_EQ(a.candidates_tested, b.candidates_tested) << label;
-  EXPECT_EQ(a.candidates_passed_dependence, b.candidates_passed_dependence)
-      << label;
   if (!a.found) return;
   EXPECT_EQ(a.pi, b.pi) << label;
   EXPECT_EQ(a.objective, b.objective) << label;
@@ -241,7 +208,7 @@ void expect_same(const SearchResult& a, const SearchResult& b,
     }
   }
   ASSERT_EQ(a.routing.has_value(), b.routing.has_value()) << label;
-  EXPECT_TRUE(a == b) << label;  // every field, routing included
+  EXPECT_TRUE(a == b) << label;  // every answer field, routing included
 }
 
 TEST(ConeWalk, Procedure51MatchesUnprunedDrivers) {
@@ -292,7 +259,8 @@ TEST(ConeWalk, OverflowThrowsWhereTheUnprunedScanThrows) {
   // sum_i floor(f / mu_i) |d_i0| exceeds int64 and the prune stands down.
   // The first candidate of level 3, (0, 3), overflows 3B in the checked
   // dependence test -- and lies in the subtree pi_0 = 0 that column 1,
-  // (-1, 0), would cut.  Both scans must throw there, and agree below it.
+  // (-1, 0), would cut.  Both scans must throw there, and agree below it:
+  // level 1's four candidates are all cut, level 2's eight all visited.
   const Int big = std::numeric_limits<Int>::max() / 2;
   const model::UniformDependenceAlgorithm algo(
       "overflow", model::IndexSet(VecI{1, 1}), MatI{{big, -1}, {big, 0}});
@@ -306,37 +274,41 @@ TEST(ConeWalk, OverflowThrowsWhereTheUnprunedScanThrows) {
   const SearchResult below = procedure_5_1(algo, space, opts);
   expect_same(reference_scan(algo, space, 2), below, "levels 1-2");
   EXPECT_FALSE(below.found);
-  EXPECT_EQ(below.candidates_tested, 12u);
+  EXPECT_EQ(below.candidates_tested, 8u);
 }
 
 TEST(ConeWalk, LevelAboveTheTableCapMatchesReference) {
-  // mu = (c + 1, c + 2) with c = cap / 2 has stride 1, so the table is
-  // indexed by the level itself: levels up to the cap are tabulated and
-  // pruned, levels past it are walked candidate by candidate.  The cone
-  // 2 pi_0 > pi_1, 2 pi_1 > pi_0 first holds at (1, 1), level cap + 3.
-  const Int mu0 = kMaxCountLevels / 2 + 1;
+  // The prune runs at every level whose delays fit int64, here above 2^18
+  // levels.  mu = (c + 1, c + 2) with c = 2^17 has stride 1.  The cone
+  // 2 pi_0 > pi_1, 2 pi_1 > pi_0 first holds at (1, 1), level 2^18 + 3;
+  // the six candidates of levels c + 1, c + 2 and 2c + 2 are all cut, so
+  // (1, 1) is the only leaf visited.
+  const Int top = Int{1} << 18;
+  const Int mu0 = top / 2 + 1;
   const model::UniformDependenceAlgorithm algo(
       "capped", model::IndexSet(VecI{mu0, mu0 + 1}), MatI{{2, -1}, {-1, 2}});
   const MatI space{{1, 0}};
-  SuffixCounts counts(algo.index_set());
-  EXPECT_TRUE(counts.fits(kMaxCountLevels));
-  EXPECT_FALSE(counts.fits(kMaxCountLevels + 1));
   const SearchResult result = procedure_5_1(algo, space);
   ASSERT_TRUE(result.found);
-  EXPECT_EQ(result.objective, kMaxCountLevels + 3);
+  EXPECT_EQ(result.objective, top + 3);
   EXPECT_EQ(result.pi, (VecI{1, 1}));
+  EXPECT_EQ(result.candidates_tested, 1u);
   expect_same(reference_scan(algo, space, result.objective), result,
               "capped");
+  DependenceConeWalk walk(algo.index_set(), algo.dependence_matrix());
+  expect_walk_matches(algo.index_set(), algo.dependence_matrix(), top + 3,
+                      walk, "level 2^18 + 3");
+  EXPECT_GT(walk.cuts(), 0u);
 }
 
 TEST(ConeWalk, StrideCompressedTableMatchesReference) {
-  // mu = 16: only every 16th level is populated and tabulated.
+  // mu = 16: only every 16th level is populated, and the search walks
+  // only those.
   const model::UniformDependenceAlgorithm algo = model::matmul(16);
   const MatI space{{1, 1, -1}};
-  SuffixCounts counts(algo.index_set());
-  ASSERT_TRUE(counts.grow(4 * 16));
-  for (Int f = 0; f <= 4 * 16; ++f) {
-    EXPECT_EQ(counts.at(0, f), plain_level(algo.index_set(), f).size())
+  ASSERT_EQ(objective_level_stride(algo.index_set()), 16);
+  for (Int f = 1; f <= 4 * 16; ++f) {
+    EXPECT_EQ(plain_level(algo.index_set(), f).empty(), f % 16 != 0)
         << "f=" << f;
   }
   SearchOptions opts;

@@ -220,26 +220,26 @@ TEST(ObsTest, ImageCountCountersRecordOncePerCall) {
 TEST(ObsTest, ConeWalkCountersRecordOncePerCall) {
   if (!obs::kEnabled) GTEST_SKIP() << "SYSMAP_OBS=OFF build";
   // D = I (matmul, mu = 4), S = [1 1 -1]: the walk sees only the positive
-  // orthant.  Levels 4k, k = 1..5, hold 4k^2 + 2 candidates each, of which
-  // C(k-1, 2) are positive; at level 24 the winner (1, 2, 3) is the 31st
-  // candidate (after the 24 with pi_0 = 0 and 6 with pi_0 = 1, |pi_1| <= 1)
-  // and the 2nd positive one.
+  // orthant.  Levels 4k, k = 1..5, hold C(k-1, 2) positive candidates; at
+  // level 24 the winner (1, 2, 3) is the 2nd positive one.  The walk
+  // reaches them through 79 cut subtrees.
   obs::reset();
   const search::SearchResult hit =
       search::procedure_5_1(model::matmul(4), MatI{{1, 1, -1}});
   ASSERT_TRUE(hit.found);
   ASSERT_EQ(hit.pi, (VecI{1, 2, 3}));
-  ASSERT_EQ(hit.candidates_tested, 261u);  // 230 below level 24, plus 31
+  ASSERT_EQ(hit.candidates_tested, 12u);  // 0 + 0 + 1 + 3 + 6, then 2
   std::vector<obs::Metric> all = obs::snapshot();
   obs::Metric visited = find_metric(all, "search.procedure51.leaves_visited");
-  obs::Metric skipped = find_metric(all, "search.procedure51.cone_skipped");
-  EXPECT_EQ(visited.total, 12u);  // 0 + 0 + 1 + 3 + 6 positive, then 2
+  obs::Metric cuts = find_metric(all, "search.procedure51.cone_cuts");
+  EXPECT_EQ(visited.total, 12u);
   EXPECT_EQ(visited.events, 1u);  // one record per call, not per candidate
-  EXPECT_EQ(skipped.total, 249u);
-  EXPECT_EQ(skipped.events, 1u);
+  EXPECT_EQ(cuts.total, 79u);
+  EXPECT_EQ(cuts.events, 1u);
   // An empty cone: columns e1 and -e1 cannot both have Pi d > 0.  (An
   // algorithm rejects a zero column, the other shape of an empty cone.)
-  // Every candidate of levels 1..6 (4f each for n = 2, mu = 1) is cut.
+  // Every candidate of levels 1..6 is cut: level f has 2f + 1 nodes below
+  // the root (pi_0 = 0, +-1, ..., +-f), each cut, 48 in all.
   const model::UniformDependenceAlgorithm empty(
       "empty cone", model::IndexSet(VecI{1, 1}), MatI{{1, -1}, {0, 0}});
   search::SearchOptions options;
@@ -248,14 +248,14 @@ TEST(ObsTest, ConeWalkCountersRecordOncePerCall) {
   const search::SearchResult none =
       search::procedure_5_1(empty, MatI{{0, 1}}, options);
   EXPECT_FALSE(none.found);
-  EXPECT_EQ(none.candidates_tested, 84u);
+  EXPECT_EQ(none.candidates_tested, 0u);
   all = obs::snapshot();
   visited = find_metric(all, "search.procedure51.leaves_visited");
-  skipped = find_metric(all, "search.procedure51.cone_skipped");
+  cuts = find_metric(all, "search.procedure51.cone_cuts");
   EXPECT_EQ(visited.total, 0u);
   EXPECT_EQ(visited.events, 1u);
-  EXPECT_EQ(skipped.total, 84u);
-  EXPECT_EQ(skipped.events, 1u);
+  EXPECT_EQ(cuts.total, 48u);
+  EXPECT_EQ(cuts.events, 1u);
 }
 
 TEST(ObsTest, SpaceSweepCountersRecordEachShortcut) {

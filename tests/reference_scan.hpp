@@ -2,8 +2,9 @@
 // every candidate of every level in plain order, the checked dependence
 // test, the from-scratch rank test and run_conflict_oracle under the
 // given oracle, then routing on the target array when one is set.  No
-// cone pruning, no FixedSpaceContext, no cache -- the per-candidate
-// references the serial search must reproduce exactly.
+// cone pruning, no FixedSpaceContext, no cache -- the answer (found, Pi,
+// objective, verdict, routing) every search route must reproduce exactly.
+// It counts no candidates: candidates_tested is advisory.
 #pragma once
 
 #include <optional>
@@ -28,9 +29,7 @@ inline SearchResult reference_scan(
   const Int stride = objective_level_stride(set);
   for (Int f = stride; f <= max_objective && !result.found; f += stride) {
     for_each_schedule_at(set, f, [&](const VecI& pi) {
-      ++result.candidates_tested;
       if (!schedule::respects_dependences(pi, d)) return true;
-      ++result.candidates_passed_dependence;
       const mapping::MappingMatrix t(space, pi);
       if (!t.has_full_rank()) return true;
       mapping::ConflictVerdict verdict = run_conflict_oracle(oracle, t, set);

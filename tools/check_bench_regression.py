@@ -3,7 +3,12 @@
 
 Compares freshly produced bench JSON-lines files (BENCH_search.json,
 BENCH_sim.json, ...) against their committed baselines, keyed by
-(case, oracle, mode), on candidates_per_sec or points_per_sec.  CI runner
+(case, oracle, mode), on candidates_per_sec or points_per_sec.  In
+BENCH_search.json, candidates_per_sec counts the Procedure 5.1 leaves a
+search visits (candidates_tested, the cone walk's leaves) per second;
+rows written before the closed-form candidate count was removed counted
+every candidate of the walked levels, cut subtrees included, and are not
+comparable with today's.  CI runner
 timing is far too noisy for a hard gate, so a drop beyond the threshold
 emits a GitHub Actions ::warning:: annotation (visible on the job summary)
 and the exit code stays 0 either way; the committed baselines are only
